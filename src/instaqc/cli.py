@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .circuit import apply_circuit, load_circuit, random_circuit
-from .statevec import fidelity, sample_haar_state
+from .statevec import DEFAULT_MAX_QUBITS, fidelity, sample_haar_state
 from .strategies import (
     ScoreParams,
     StrategyKind,
@@ -59,7 +59,7 @@ def _fmt(x) -> str:
 
 
 def _json_dumps(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -118,6 +118,18 @@ def _apply_config(args: argparse.Namespace, allowed: set[str]) -> None:
         setattr(args, key, value)
 
 
+# The resource holds 2n qubits, so n is capped at half the register limit.
+MAX_N = DEFAULT_MAX_QUBITS // 2
+
+
+def _check_n(values) -> None:
+    """Reject sizes before anything is allocated."""
+    if min(values) < 1:
+        raise ValueError(f"n must be >= 1, got {min(values)}")
+    if max(values) > MAX_N:
+        raise ValueError(f"n must be <= {MAX_N}, got {max(values)}")
+
+
 def _check_common(args: argparse.Namespace) -> None:
     seed = int(args.seed)
     if not 0 <= seed < 2**64:
@@ -134,8 +146,6 @@ def _check_common(args: argparse.Namespace) -> None:
 def _parse_teleport(args):
     _check_common(args)
     args.n = int(args.n) if args.n is not None else None
-    if args.n is not None and args.n < 1:
-        raise ValueError(f"n must be >= 1, got {args.n}")
     args.depth = int(args.depth)
     if args.depth < 0:
         raise ValueError(f"depth must be >= 0, got {args.depth}")
@@ -147,6 +157,7 @@ def _parse_teleport(args):
                 f"but n={args.n} was requested")
     elif args.n is None:
         raise ValueError("n is required unless --circuit is given")
+    _check_n([args.loaded_circuit.num_qubits if args.circuit else args.n])
     return args
 
 
@@ -226,15 +237,15 @@ def _parse_game(args):
         if args.n is None:
             raise ValueError("n is required unless --circuit is given")
         args.ns = _parse_int_list(args.n)
-        if not args.ns or min(args.ns) < 1:
-            raise ValueError(f"n values must be >= 1, got {args.n!r}")
+        if not args.ns:
+            raise ValueError(f"no n values in {args.n!r}")
+    _check_n(args.ns)
     args.penalties = _parse_float_list(args.penalty)
-    if min(args.penalties) < 0:
-        raise ValueError(f"penalty values must be >= 0, got {args.penalty!r}")
     args.reward = float(args.reward)
     args.cost = float(args.cost)
-    # ScoreParams re-validates; construct one early to fail before any run
-    ScoreParams(args.reward, args.penalties[0], args.cost)
+    # Every point's ScoreParams, built early to fail before any run
+    for pen in args.penalties:
+        ScoreParams(args.reward, pen, args.cost)
     return args
 
 

@@ -45,7 +45,8 @@ class StateVector:
         if amps.shape != (dim,):
             raise ValueError(f"expected {dim} amplitudes, got shape {amps.shape}")
         norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        # Negated so a NaN or inf amplitude, which makes norm_sq non-finite, fails.
+        if not abs(norm_sq - 1.0) <= NORM_TOL:
             raise ValueError(f"state not normalized: sum |a|^2 = {norm_sq!r}")
         amps = amps.copy()
         amps.setflags(write=False)
@@ -72,7 +73,7 @@ class GateMatrix:
         if mat.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} matrix, got shape {mat.shape}")
         err = np.abs(mat @ mat.conj().T - np.eye(dim)).max()
-        if err > UNITARY_TOL:
+        if not err <= UNITARY_TOL:  # NaN-safe, as in StateVector
             raise ValueError(f"matrix not unitary: max |MM^dag - I| = {err:g}")
         mat = mat.copy()
         mat.setflags(write=False)
@@ -157,7 +158,7 @@ def _validated_basis(basis, k: int) -> np.ndarray:
     if mat.shape != (dim, dim):
         raise ValueError(f"expected {dim} basis vectors of length {dim}, got shape {mat.shape}")
     err = np.abs(mat @ mat.conj().T - np.eye(dim)).max()
-    if err > NORM_TOL:
+    if not err <= NORM_TOL:  # NaN-safe, as in StateVector
         raise ValueError(f"basis not orthonormal: max deviation {err:g}")
     return mat
 

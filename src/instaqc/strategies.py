@@ -81,6 +81,9 @@ class ScoreParams:
     cost_C: float = 0.0
 
     def __post_init__(self):
+        for name in ("reward_P", "penalty_N", "cost_C"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.reward_P <= 0:
             raise ValueError(f"reward_P must be > 0, got {self.reward_P}")
         if self.penalty_N < 0:

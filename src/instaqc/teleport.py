@@ -46,6 +46,10 @@ BELL_BASIS = np.array([
     [0.0, -_B, _B, 0.0],   # (1,1)  Ψ−
 ], dtype=complex)
 
+# Conjugated Bell rows as [outcome, near bit, input bit]: a pair's vector index
+# is input_i + 2 near_i.
+_BELL_CONJ = BELL_BASIS.conj().reshape(4, 2, 2)
+
 # (x, z) -> single-qubit gates applied in listed order to undo the residue.
 CORRECTIONS: dict[tuple[int, int], tuple[GateMatrix, ...]] = {
     (0, 0): (),
@@ -106,7 +110,6 @@ class InstantRunResult:
     outcome: BsmOutcome
     success: bool
     output_state: StateVector
-    residual_needs_correction: bool
 
 
 def make_bell_pairs(n: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
@@ -141,37 +144,66 @@ def _pair_outcome_vector(n: int, bits) -> np.ndarray:
     return v
 
 
+def _project_lowest_pair(state: np.ndarray) -> np.ndarray:
+    """Contract the lowest (near, input) bit pair of a (far, near, input)
+    array with the four Bell vectors: (4, far, near/2, input/2)."""
+    far, near, inp = state.shape
+    split = state.reshape(far, near // 2, 2, inp // 2, 2)
+    return np.tensordot(_BELL_CONJ, split, axes=([1, 2], [2, 4]))
+
+
+def _sample_pairs(proj: np.ndarray, rng: np.random.Generator):
+    """Bell-measure the pairs in order, starting from the first pair's
+    (4, far, near, input) projection.
+
+    Each pair takes one rng.random() and the cumsum/searchsorted rule of
+    measure_in_basis, keeps the chosen slice renormalized, and the register
+    loses two qubits.  Returns the outcome and the n-qubit far-block state.
+    """
+    bits = []
+    while True:
+        flat = proj.reshape(4, -1).view(float)  # (re, im) interleaved
+        probs = np.einsum("ij,ij->i", flat, flat)
+        cum = np.cumsum(probs / probs.sum())
+        b = min(int(np.searchsorted(cum, rng.random(), side="right")), 3)
+        bits.append((b & 1, b >> 1))
+        state = proj[b] / np.sqrt(probs[b])
+        if state.shape[1] == 1:
+            return BsmOutcome(tuple(bits)), StateVector(len(bits), state.reshape(-1))
+        proj = _project_lowest_pair(state)
+
+
 def bell_measure_pairs(joint: StateVector, rng: np.random.Generator):
-    """Measure each (input_i, near_i) pair in the Bell basis.
+    """Measure each (input_i, near_i) pair in the Bell basis, pair 0 first.
 
     `joint` must hold 3n qubits laid out [input | near | far].  Returns the
     outcome and the renormalized n-qubit far-block state.
     """
     if joint.num_qubits % 3 != 0:
         raise ValueError(f"{joint.num_qubits} qubits does not split into 3 blocks")
-    n = joint.num_qubits // 3
-    bits = []
-    state = joint
-    for i in range(n):
-        b, _, state = measure_in_basis(state, [i, n + i], BELL_BASIS, rng)
-        bits.append((b & 1, b >> 1))
-    outcome = BsmOutcome(tuple(bits))
-    # All pairs are now collapsed; strip them in one projection.
-    _, far = project_out(state, range(2 * n), _pair_outcome_vector(n, bits))
-    return outcome, far
+    side = 1 << (joint.num_qubits // 3)
+    state = joint.amplitudes.reshape(side, side, side)
+    return _sample_pairs(_project_lowest_pair(state), rng)
 
 
 def run_instantaneous(resource: OfflineResource, input_state: StateVector,
                       rng: np.random.Generator) -> InstantRunResult:
-    """One protocol attempt: compose input with the resource and Bell-measure."""
-    if input_state.num_qubits != resource.n:
+    """One protocol attempt: Bell-measure the input against the resource.
+
+    The 3n-qubit product is never formed: the first pair is contracted from
+    the input and the resource separately.
+    """
+    n = resource.n
+    if input_state.num_qubits != n:
         raise ValueError(
-            f"input has {input_state.num_qubits} qubits, resource expects {resource.n}")
-    joint = tensor_product(input_state, resource.joint_state,
-                           max_qubits=3 * resource.n)
-    outcome, far = bell_measure_pairs(joint, rng)
-    success = outcome.all_trivial()
-    return InstantRunResult(outcome, success, far, not success)
+            f"input has {input_state.num_qubits} qubits, resource expects {n}")
+    half = 1 << (n - 1)
+    # (4, near bit 0, input/2): input bit 0 contracted with each Bell vector
+    partial = _BELL_CONJ @ input_state.amplitudes.reshape(half, 2).T
+    # (4, far * near/2, input/2): near bit 0 contracted with the resource
+    proj = resource.joint_state.amplitudes.reshape(-1, 2) @ partial
+    outcome, far = _sample_pairs(proj.reshape(4, 2 * half, half, half), rng)
+    return InstantRunResult(outcome, outcome.all_trivial(), far)
 
 
 def force_outcome(resource: OfflineResource, input_state: StateVector,
@@ -190,8 +222,7 @@ def force_outcome(resource: OfflineResource, input_state: StateVector,
     joint = tensor_product(input_state, resource.joint_state, max_qubits=3 * n)
     prob, far = project_out(joint, range(2 * n),
                             _pair_outcome_vector(n, outcome.bits))
-    success = outcome.all_trivial()
-    return prob, InstantRunResult(outcome, success, far, not success)
+    return prob, InstantRunResult(outcome, outcome.all_trivial(), far)
 
 
 def outcome_distribution(resource: OfflineResource,

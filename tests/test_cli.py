@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from instaqc.circuit import random_circuit, save_circuit
-from instaqc.cli import main
+from instaqc.cli import _json_dumps, main
 
 
 def run_cli(capsys, *argv):
@@ -41,6 +41,31 @@ def test_teleport_rejects_zero_n(capsys):
     code, _, err = run_cli(capsys, "teleport", "--n", "0")
     assert code == 2
     assert "n must be >= 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("teleport", "--n", "9"),
+    ("teleport", "--n", str(10**9)),
+    ("game", "--n", "1:9"),
+    ("game", "--n", "2," + str(10**9), "--strategies", "random"),
+])
+def test_oversized_n_rejected_before_any_allocation(monkeypatch, capsys, argv):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ran past the size check")
+    for name in ("random_circuit", "prepare_offline", "run_game"):
+        monkeypatch.setattr(f"instaqc.cli.{name}", forbidden)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "n must be <= 8" in err
+
+
+def test_oversized_circuit_file_rejected(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"num_qubits": 9, "gates": []}))
+    for command in ("teleport", "game"):
+        code, _, err = run_cli(capsys, command, "--circuit", str(path))
+        assert code == 2
+        assert "n must be <= 8" in err
 
 
 def test_teleport_requires_some_circuit_source(capsys):
@@ -110,6 +135,26 @@ def test_game_penalty_sweep(capsys):
     assert code == 0
     rows = out.strip().split("\n")[1:]
     assert [row.split(",")[3] for row in rows] == ["0", "1", "10"]
+
+
+@pytest.mark.parametrize("flags", [
+    ("--penalty", "nan"),
+    ("--penalty", "0,nan"),
+    ("--penalty", "inf"),
+    ("--reward", "nan"),
+    ("--cost", "inf"),
+])
+def test_game_rejects_non_finite_stakes(capsys, flags):
+    code, out, err = run_cli(capsys, "game", "--n", "1", "--strategies", "random",
+                             "--trials", "5", *flags)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
+def test_json_output_never_holds_nan():
+    with pytest.raises(ValueError):
+        _json_dumps({"N": float("nan")})
 
 
 def test_game_empty_strategies(capsys):

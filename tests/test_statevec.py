@@ -32,6 +32,14 @@ def test_state_rejects_unnormalized():
         StateVector(1, np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_state_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="not normalized"):
+        StateVector(1, np.array([bad, bad]))
+    with pytest.raises(ValueError, match="not normalized"):
+        StateVector(2, np.array([1.0, 0.0, 0.0, bad]))
+
+
 def test_state_rejects_wrong_length():
     with pytest.raises(ValueError, match="amplitudes"):
         StateVector(2, np.array([1.0, 0.0]))
@@ -58,6 +66,14 @@ def test_basis_state_index_range():
 def test_gate_rejects_non_unitary():
     with pytest.raises(ValueError, match="not unitary"):
         GateMatrix(1, np.array([[1.0, 0.0], [0.0, 2.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_gate_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="not unitary"):
+        GateMatrix(1, np.full((2, 2), bad))
+    with pytest.raises(ValueError, match="not unitary"):
+        GateMatrix(2, np.diag([1.0, 1.0, 1.0, bad]))
 
 
 def test_named_gates_are_unitary_and_registered():
@@ -179,6 +195,8 @@ def test_outcome_probabilities_partial_register():
 def test_outcome_probabilities_rejects_bad_basis():
     with pytest.raises(ValueError, match="orthonormal"):
         outcome_probabilities(basis_state(1, 0), [0], np.array([[1, 1], [0, 1.0]]))
+    with pytest.raises(ValueError, match="orthonormal"):
+        outcome_probabilities(basis_state(1, 0), [0], np.full((2, 2), np.nan))
 
 
 def test_measure_collapse_is_repeatable():

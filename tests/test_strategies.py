@@ -55,6 +55,15 @@ def test_score_params_validation():
         ScoreParams(1.0, 0.0, -0.5)
 
 
+@pytest.mark.parametrize("field", range(3))
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_score_params_rejects_non_finite(field, bad):
+    values = [1.0, 0.0, 0.0]
+    values[field] = bad
+    with pytest.raises(ValueError, match="finite"):
+        ScoreParams(*values)
+
+
 def test_game_report_count_invariant():
     params = ScoreParams(1.0, 0.0)
     with pytest.raises(ValueError, match="inconsistent"):

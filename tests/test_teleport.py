@@ -199,7 +199,6 @@ def test_success_branch_gives_circuit_output(n):
         psi = sample_haar_state(n, rng)
         _, result = force_outcome(res, psi, BsmOutcome.from_code(n, 0))
         assert result.success
-        assert not result.residual_needs_correction
         assert fidelity(result.output_state, apply_circuit(circ, psi)) > 1 - 1e-9
 
 
@@ -215,7 +214,6 @@ def test_run_instantaneous_success_flag_matches_outcome():
     for _ in range(50):
         result = run_instantaneous(res, sample_haar_state(1, rng), rng)
         assert result.success == result.outcome.all_trivial()
-        assert result.residual_needs_correction == (not result.success)
 
 
 def test_run_instantaneous_dimension_mismatch():
