@@ -1,13 +1,21 @@
-"""Gate-sequence circuits: application, inversion, random generation, JSON I/O."""
+"""Gate-sequence circuits: compiled application, inversion, random generation, JSON I/O."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.stats import unitary_group
 
-from .statevec import NAMED_GATES, CNOT, GateMatrix, StateVector, apply_gate
+from .statevec import (
+    NAMED_GATES,
+    CNOT,
+    UNITARY_TOL,
+    GateMatrix,
+    StateVector,
+    _apply_gate_batch,
+)
 
 Gate = tuple[GateMatrix, tuple[int, ...]]
 
@@ -38,16 +46,34 @@ class Circuit:
     def __len__(self) -> int:
         return len(self.gates)
 
+    @cached_property
+    def unitary(self) -> np.ndarray:
+        """Read-only 2**n x 2**n matrix of the circuit (little-endian index),
+        built on first access and checked for unitarity once."""
+        n = self.num_qubits
+        # Row j carries basis state j through the gates: the rows end as the
+        # columns of the unitary.
+        rows = np.eye(1 << n, dtype=complex)
+        for gate, targets in self.gates:
+            rows = _apply_gate_batch(rows, n, gate, targets)
+        mat = np.ascontiguousarray(rows.T)
+        err = np.abs(mat @ mat.conj().T - np.eye(1 << n)).max()
+        if not err <= UNITARY_TOL:
+            raise ValueError(f"circuit not unitary: max |UU^dag - I| = {err:g}")
+        mat.setflags(write=False)
+        return mat
+
 
 def apply_circuit(circuit: Circuit, state: StateVector, offset: int = 0) -> StateVector:
     """Run the circuit on `state`, with circuit qubit i mapped to qubit offset+i."""
-    if offset < 0 or offset + circuit.num_qubits > state.num_qubits:
+    k = circuit.num_qubits
+    if offset < 0 or offset + k > state.num_qubits:
         raise ValueError(
-            f"circuit on {circuit.num_qubits} qubits at offset {offset} "
+            f"circuit on {k} qubits at offset {offset} "
             f"does not fit in {state.num_qubits} qubits")
-    for gate, targets in circuit.gates:
-        state = apply_gate(state, gate, [offset + t for t in targets])
-    return state
+    high = 1 << (state.num_qubits - k - offset)
+    psi = state.amplitudes.reshape(high, 1 << k, 1 << offset)
+    return StateVector(state.num_qubits, (circuit.unitary @ psi).reshape(-1))
 
 
 def inverse(circuit: Circuit) -> Circuit:
@@ -57,13 +83,17 @@ def inverse(circuit: Circuit) -> Circuit:
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Full 2**n x 2**n matrix of the circuit (little-endian column index)."""
-    dim = 1 << circuit.num_qubits
-    cols = np.eye(dim, dtype=complex)
-    for j in range(dim):
-        state = StateVector(circuit.num_qubits, cols[:, j].copy())
-        cols[:, j] = apply_circuit(circuit, state).amplitudes
-    return cols
+    """Writable copy of `circuit.unitary` (little-endian column index)."""
+    return circuit.unitary.copy()
+
+
+def _haar_unitary_2x2(rng: np.random.Generator) -> np.ndarray:
+    """Haar-random 2x2 unitary by the QR recipe of scipy.stats.unitary_group,
+    same expression order, so a seed gives bitwise the same matrix."""
+    z = 1 / math.sqrt(2) * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    q, r = np.linalg.qr(z)
+    d = r.diagonal()
+    return q * (d / abs(d))
 
 
 def random_circuit(num_qubits: int, depth: int, rng: np.random.Generator) -> Circuit:
@@ -73,9 +103,8 @@ def random_circuit(num_qubits: int, depth: int, rng: np.random.Generator) -> Cir
         raise ValueError(f"depth must be >= 0, got {depth}")
     gates: list[Gate] = []
     for _ in range(depth):
-        for q in range(num_qubits):
-            u = unitary_group.rvs(2, random_state=rng)
-            gates.append((GateMatrix(1, u), (q,)))
+        for qubit in range(num_qubits):
+            gates.append((GateMatrix(1, _haar_unitary_2x2(rng)), (qubit,)))
         if num_qubits >= 2:
             control, target = rng.choice(num_qubits, size=2, replace=False)
             gates.append((CNOT, (int(control), int(target))))

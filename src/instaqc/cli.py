@@ -17,7 +17,9 @@ import argparse
 import json
 import sys
 
-import numpy as np
+# numpy.random loads lazily; importing it here keeps that one-off cost in
+# start-up, out of the trial loop of every teleport and game run.
+from numpy.random import Generator, SeedSequence, default_rng
 
 from .circuit import apply_circuit, load_circuit, random_circuit
 from .statevec import DEFAULT_MAX_QUBITS, fidelity, sample_haar_state
@@ -46,8 +48,8 @@ STRATEGY_TOKENS = {
 }
 
 
-def _stream(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+def _stream(seed: int, *key: int) -> Generator:
+    return default_rng(SeedSequence(seed, spawn_key=key))
 
 
 def _fmt(x) -> str:

@@ -72,8 +72,11 @@ class GateMatrix:
         dim = 1 << self.arity
         if mat.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} matrix, got shape {mat.shape}")
+        # Finiteness first: an inf entry would make the product below warn.
+        if not np.isfinite(mat).all():
+            raise ValueError("matrix not unitary: it has non-finite entries")
         err = np.abs(mat @ mat.conj().T - np.eye(dim)).max()
-        if not err <= UNITARY_TOL:  # NaN-safe, as in StateVector
+        if not err <= UNITARY_TOL:
             raise ValueError(f"matrix not unitary: max |MM^dag - I| = {err:g}")
         mat = mat.copy()
         mat.setflags(write=False)
@@ -137,6 +140,20 @@ def _targets_to_front(state: StateVector, targets: list[int]) -> np.ndarray:
     return moved.reshape(1 << k, -1)
 
 
+def _apply_gate_batch(states: np.ndarray, n: int, gate: GateMatrix, targets) -> np.ndarray:
+    """Apply `gate` to every row of a (batch, 2**n) amplitude array.
+
+    Unchecked: targets must already be valid.  One moveaxis brings the target
+    axes next to the batch axis, one matmul applies the gate to all rows.
+    """
+    k = gate.arity
+    src = [n - t for t in reversed(targets)]  # axis 0 is the batch
+    psi = np.moveaxis(states.reshape([-1] + [2] * n), src, range(1, k + 1))
+    shape = psi.shape
+    out = (gate.entries @ psi.reshape(shape[0], 1 << k, -1)).reshape(shape)
+    return np.moveaxis(out, range(1, k + 1), src).reshape(states.shape)
+
+
 def apply_gate(state: StateVector, gate: GateMatrix, targets) -> StateVector:
     """Apply `gate` to the target qubits, identity on the rest."""
     targets = list(targets)
@@ -144,12 +161,8 @@ def apply_gate(state: StateVector, gate: GateMatrix, targets) -> StateVector:
     if len(targets) != k:
         raise ValueError(f"gate of arity {k} got {len(targets)} targets")
     _check_targets(n, targets)
-    src = [n - 1 - t for t in reversed(targets)]
-    psi = np.moveaxis(state.amplitudes.reshape([2] * n), src, range(k))
-    shape = psi.shape
-    out = (gate.entries @ psi.reshape(1 << k, -1)).reshape(shape)
-    out = np.moveaxis(out, range(k), src)
-    return StateVector(n, out.reshape(-1))
+    out = _apply_gate_batch(state.amplitudes[np.newaxis], n, gate, targets)
+    return StateVector(n, out[0])
 
 
 def _validated_basis(basis, k: int) -> np.ndarray:
@@ -157,8 +170,10 @@ def _validated_basis(basis, k: int) -> np.ndarray:
     dim = 1 << k
     if mat.shape != (dim, dim):
         raise ValueError(f"expected {dim} basis vectors of length {dim}, got shape {mat.shape}")
+    if not np.isfinite(mat).all():  # before the product, as in GateMatrix
+        raise ValueError("basis not orthonormal: it has non-finite entries")
     err = np.abs(mat @ mat.conj().T - np.eye(dim)).max()
-    if not err <= NORM_TOL:  # NaN-safe, as in StateVector
+    if not err <= NORM_TOL:
         raise ValueError(f"basis not orthonormal: max deviation {err:g}")
     return mat
 
@@ -246,9 +261,14 @@ def orthonormal_basis_containing(first) -> np.ndarray:
     Deterministic for a given input vector.
     """
     vec = np.asarray(first, dtype=complex)
+    if not np.isfinite(vec).all():
+        raise ValueError("basis vector has non-finite entries")
+    norm = np.linalg.norm(vec)
+    if norm == 0:
+        raise ValueError("basis vector is zero")
     d = vec.shape[0]
     rows = np.empty((d, d), dtype=complex)
-    rows[0] = vec / np.linalg.norm(vec)
+    rows[0] = vec / norm
     m = 1
     for j in range(d):
         if m == d:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, apply_circuit, inverse
+from .circuit import Circuit, apply_circuit
 from .statevec import (
     DEFAULT_MAX_QUBITS,
     X,
@@ -252,7 +252,8 @@ def run_with_corrections(result: InstantRunResult, circuit: Circuit):
     if len(result.outcome.bits) != n:
         raise ValueError(
             f"outcome has {len(result.outcome.bits)} pairs, circuit has {n} qubits")
-    state = apply_circuit(inverse(circuit), result.output_state)
+    # U^dag psi as conj(conj(psi) U): un-runs the circuit without copying U
+    state = StateVector(n, (result.output_state.amplitudes.conj() @ circuit.unitary).conj())
     for i, key in enumerate(result.outcome.bits):
         for gate in CORRECTIONS[key]:
             state = apply_gate(state, gate, [i])

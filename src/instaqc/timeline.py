@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -27,6 +28,9 @@ class TimelineConfig:
     bsm_duration: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if not self.t2 > self.t1:
             raise ValueError(f"t2 must exceed t1, got t1={self.t1}, t2={self.t2}")
         for field in ("alice_duration", "bob_duration", "classical_latency",
@@ -79,12 +83,11 @@ TIMELINE_CSV_COLUMNS = ("alice_output_time", "message_arrival_time",
 
 def timeline_config_from_dict(doc: dict) -> TimelineConfig:
     """Build a config from parsed JSON, rejecting unknown keys."""
-    fields = ("t1", "t2", "alice_duration", "bob_duration", "bob_start",
-              "classical_latency", "bsm_duration")
-    unknown = set(doc) - set(fields)
+    names = [f.name for f in fields(TimelineConfig)]
+    unknown = set(doc) - set(names)
     if unknown:
         raise ValueError(f"unknown timeline fields: {sorted(unknown)}")
-    missing = set(fields[:-1]) - set(doc)
+    missing = set(names[:-1]) - set(doc)
     if missing:
         raise ValueError(f"missing timeline fields: {sorted(missing)}")
     return TimelineConfig(**{k: float(v) for k, v in doc.items()})

@@ -117,6 +117,21 @@ def test_random_circuit_deterministic_under_seed():
         assert np.array_equal(ga.entries, gb.entries)
 
 
+def test_random_circuit_gates_match_scipy_haar_bitwise():
+    # random_circuit draws each 2x2 gate with scipy's unitary_group recipe,
+    # reimplemented in numpy so the package does not import scipy
+    for seed in range(20):
+        circ = random_circuit(3, 4, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        for layer in range(4):
+            for qubit in range(3):
+                gate, targets = circ.gates[4 * layer + qubit]
+                assert targets == (qubit,)
+                assert np.array_equal(gate.entries,
+                                      unitary_group.rvs(2, random_state=rng))
+            rng.choice(3, size=2, replace=False)  # the layer's CNOT pair
+
+
 def test_random_circuit_norm_preserving():
     rng = np.random.default_rng(6)
     circ = random_circuit(4, 3, rng)

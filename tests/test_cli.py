@@ -1,10 +1,14 @@
 """Command-line behavior: formats, exit codes, determinism, config handling."""
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import instaqc
 from instaqc.circuit import random_circuit, save_circuit
 from instaqc.cli import _json_dumps, main
 
@@ -248,6 +252,15 @@ def test_timeline_rejects_bad_deadline(monkeypatch, capsys):
     assert "t2" in err
 
 
+@pytest.mark.parametrize("flags", [(), ("--csv",)])
+def test_timeline_rejects_non_finite_field(monkeypatch, capsys, flags):
+    _feed_stdin(monkeypatch, {**TIMELINE, "alice_duration": float("nan")})
+    code, out, err = run_cli(capsys, "timeline", *flags)
+    assert code == 2
+    assert out == ""
+    assert "alice_duration" in err
+
+
 def test_timeline_rejects_bad_json(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO("{not json"))
     code, _, _ = run_cli(capsys, "timeline")
@@ -258,3 +271,12 @@ def test_unwritable_output_is_runtime_error(monkeypatch, capsys):
     _feed_stdin(monkeypatch, TIMELINE)
     code, _, err = run_cli(capsys, "timeline", "--out", "/no/such/dir/x.json")
     assert code == 1
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(instaqc.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = "import sys, instaqc.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.strip() == "False"

@@ -197,6 +197,8 @@ def test_outcome_probabilities_rejects_bad_basis():
         outcome_probabilities(basis_state(1, 0), [0], np.array([[1, 1], [0, 1.0]]))
     with pytest.raises(ValueError, match="orthonormal"):
         outcome_probabilities(basis_state(1, 0), [0], np.full((2, 2), np.nan))
+    with pytest.raises(ValueError, match="orthonormal"):
+        outcome_probabilities(basis_state(1, 0), [0], np.diag([1.0, np.inf]))
 
 
 def test_measure_collapse_is_repeatable():
@@ -302,6 +304,13 @@ def test_basis_completion_orthonormal(dim):
     basis = orthonormal_basis_containing(first)
     assert np.allclose(basis[0], first)
     assert np.abs(basis @ basis.conj().T - np.eye(dim)).max() < 1e-9
+
+
+@pytest.mark.parametrize("first", [np.zeros(4), [1.0, np.nan, 0.0, 0.0],
+                                   [np.inf, 0.0]])
+def test_basis_completion_rejects_degenerate_first_vector(first):
+    with pytest.raises(ValueError, match="basis vector"):
+        orthonormal_basis_containing(np.asarray(first, dtype=complex))
 
 
 def test_basis_completion_skips_parallel_candidate():

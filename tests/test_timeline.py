@@ -39,6 +39,14 @@ def test_config_validation():
         _config(classical_latency=-1.0)
 
 
+@pytest.mark.parametrize("field", ["t1", "t2", "alice_duration", "bob_duration",
+                                   "bob_start", "classical_latency", "bsm_duration"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_config_rejects_non_finite(field, bad):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        _config(**{field: bad})
+
+
 def test_bob_finished_before_input_exists():
     report = simulate_timeline(_config(bob_start=-10.0, bob_duration=5.0))
     assert report.bob_ready_time <= 0.0
