@@ -68,7 +68,6 @@ from .strategies import (
     cost_analysis,
     expected_score,
     game_report_to_dict,
-    game_reports_to_csv,
     rsp_strategy,
     run_game,
 )
@@ -77,8 +76,6 @@ from .timeline import (
     TimelineReport,
     simulate_timeline,
     timeline_config_from_dict,
-    timeline_report_to_csv,
-    timeline_report_to_dict,
 )
 
 __version__ = "0.1.0"

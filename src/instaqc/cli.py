@@ -14,8 +14,11 @@ A --config JSON file overrides any flag of the same name.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
+from dataclasses import asdict
 
 # numpy.random loads lazily; importing it here keeps that one-off cost in
 # start-up, out of the trial loop of every teleport and game run.
@@ -24,28 +27,19 @@ from numpy.random import Generator, SeedSequence, default_rng
 from .circuit import apply_circuit, load_circuit, random_circuit
 from .statevec import DEFAULT_MAX_QUBITS, fidelity, sample_haar_state
 from .strategies import (
+    STRATEGIES,
     ScoreParams,
     StrategyKind,
-    approximate,
     game_report_to_dict,
-    game_reports_to_csv,
     run_game,
 )
 from .teleport import prepare_offline, run_instantaneous, run_with_corrections
-from .timeline import (
-    simulate_timeline,
-    timeline_config_from_dict,
-    timeline_report_to_csv,
-    timeline_report_to_dict,
-)
+from .timeline import simulate_timeline, timeline_config_from_dict
 
-STRATEGY_TOKENS = {
-    "no_answer": StrategyKind("no_answer"),
-    "random": StrategyKind("random_guess"),
-    "instant": StrategyKind("instantaneous"),
-    "classical": StrategyKind("classical_basis"),
-    "rsp": StrategyKind("remote_state_prep"),
-}
+# --strategies tokens; approximate takes its fidelity after a colon.
+_TOKENS = {entry.token: name for name, entry in STRATEGIES.items()}
+_TOKEN_LIST = ", ".join(f"{token}:<fidelity>" if name == "approximate" else token
+                        for token, name in _TOKENS.items())
 
 
 def _stream(seed: int, *key: int) -> Generator:
@@ -72,18 +66,20 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _csv_line(values) -> str:
-    return ",".join(values) + "\n"
+def _csv(rows: list[dict]) -> str:
+    """CSV of JSON output rows: header from the first row's keys, cells by _fmt."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(rows[0])
+    writer.writerows([_fmt(v) for v in row.values()] for row in rows)
+    return buf.getvalue()
 
 
 def _parse_strategy_token(token: str) -> StrategyKind:
-    if token in STRATEGY_TOKENS:
-        return STRATEGY_TOKENS[token]
-    if token.startswith("approx:"):
-        return approximate(float(token.split(":", 1)[1]))
-    raise ValueError(
-        f"unknown strategy {token!r}; choose from "
-        f"{', '.join(STRATEGY_TOKENS)} or approx:<fidelity>")
+    head, colon, arg = token.partition(":")
+    if head not in _TOKENS:
+        raise ValueError(f"unknown strategy {token!r}; choose from {_TOKEN_LIST}")
+    return StrategyKind(_TOKENS[head], float(arg) if colon else None)
 
 
 def _parse_int_list(value) -> list[int]:
@@ -142,24 +138,38 @@ def _check_common(args: argparse.Namespace) -> None:
         raise ValueError(f"trials must be >= 1, got {args.trials}")
 
 
-# --- teleport ---------------------------------------------------------------
-# Streams: (0,) circuit generation; (1,) trial loop.
+def _parse_sizes(args: argparse.Namespace, ns: list[int] | None) -> list[int]:
+    """Check --depth and the sizes to run: `ns` from --n, or a --circuit file's.
 
-def _parse_teleport(args):
-    _check_common(args)
-    args.n = int(args.n) if args.n is not None else None
+    A circuit file is loaded and compiled here, so one that is not unitary
+    is rejected as bad input before any run.
+    """
     args.depth = int(args.depth)
     if args.depth < 0:
         raise ValueError(f"depth must be >= 0, got {args.depth}")
     if args.circuit:
         args.loaded_circuit = load_circuit(args.circuit)
-        if args.n is not None and args.loaded_circuit.num_qubits != args.n:
+        file_n = args.loaded_circuit.num_qubits
+        if ns is not None and ns != [file_n]:
             raise ValueError(
-                f"circuit file has {args.loaded_circuit.num_qubits} qubits "
-                f"but n={args.n} was requested")
-    elif args.n is None:
+                f"circuit file has {file_n} qubits but n={args.n} was requested")
+        ns = [file_n]
+    elif ns is None:
         raise ValueError("n is required unless --circuit is given")
-    _check_n([args.loaded_circuit.num_qubits if args.circuit else args.n])
+    elif not ns:
+        raise ValueError(f"no n values in {args.n!r}")
+    _check_n(ns)
+    if args.circuit:
+        args.loaded_circuit.unitary  # compiled once; raises if not unitary
+    return ns
+
+
+# --- teleport ---------------------------------------------------------------
+# Streams: (0,) circuit generation; (1,) trial loop.
+
+def _parse_teleport(args):
+    _check_common(args)
+    args.n, = _parse_sizes(args, None if args.n is None else [int(args.n)])
     return args
 
 
@@ -191,16 +201,18 @@ def _run_teleport(args) -> str:
         "n": n,
         "trials": args.trials,
         "seed": args.seed,
-        "circuit_file": args.circuit,
-        "depth": None if args.circuit else args.depth,
         "success_count": success_count,
         "success_rate": success_count / args.trials,
         "expected_success_rate": 4.0**-n,
         "mean_success_fidelity": (sum(success_fids) / len(success_fids)
                                   if success_fids else None),
         "min_success_fidelity": min(success_fids, default=None),
-        "outcome_histogram": {str(k): v for k, v in sorted(histogram.items())},
     }
+    if args.csv:  # the scalar summary above is the CSV row
+        return _csv([report])
+    report["circuit_file"] = args.circuit
+    report["depth"] = None if args.circuit else args.depth
+    report["outcome_histogram"] = {str(k): v for k, v in sorted(histogram.items())}
     if args.corrections:
         report["corrections"] = {
             "runs": len(corrected_fids),
@@ -209,12 +221,7 @@ def _run_teleport(args) -> str:
                               if corrected_fids else None),
             "min_fidelity": min(corrected_fids, default=None),
         }
-    if not args.csv:
-        return _json_dumps(report)
-    cols = ("n", "trials", "seed", "success_count", "success_rate",
-            "expected_success_rate", "mean_success_fidelity",
-            "min_success_fidelity")
-    return _csv_line(cols) + _csv_line([_fmt(report[c]) for c in cols])
+    return _json_dumps(report)
 
 
 # --- game -------------------------------------------------------------------
@@ -229,19 +236,7 @@ def _parse_game(args):
     if not tokens:
         raise ValueError("strategy list is empty")
     args.kinds = [_parse_strategy_token(t) for t in tokens]
-    args.depth = int(args.depth)
-    if args.depth < 0:
-        raise ValueError(f"depth must be >= 0, got {args.depth}")
-    if args.circuit:
-        args.loaded_circuit = load_circuit(args.circuit)
-        args.ns = [args.loaded_circuit.num_qubits]
-    else:
-        if args.n is None:
-            raise ValueError("n is required unless --circuit is given")
-        args.ns = _parse_int_list(args.n)
-        if not args.ns:
-            raise ValueError(f"no n values in {args.n!r}")
-    _check_n(args.ns)
+    args.ns = _parse_sizes(args, None if args.n is None else _parse_int_list(args.n))
     args.penalties = _parse_float_list(args.penalty)
     args.reward = float(args.reward)
     args.cost = float(args.cost)
@@ -265,9 +260,8 @@ def _run_game(args) -> str:
         params = ScoreParams(args.reward, pen, args.cost)
         rng = _stream(args.seed, 1, k)
         reports.append(run_game(kind, n, circuits[n], params, args.trials, rng))
-    if args.csv:
-        return game_reports_to_csv(reports)
-    return _json_dumps([game_report_to_dict(r) for r in reports])
+    rows = [game_report_to_dict(r) for r in reports]
+    return _csv(rows) if args.csv else _json_dumps(rows)
 
 
 # --- timeline ---------------------------------------------------------------
@@ -283,10 +277,8 @@ def _parse_timeline(args):
 
 
 def _run_timeline(args) -> str:
-    report = simulate_timeline(args.timeline_config)
-    if args.csv:
-        return timeline_report_to_csv(report)
-    return _json_dumps(timeline_report_to_dict(report))
+    row = asdict(simulate_timeline(args.timeline_config))
+    return _csv([row]) if args.csv else _json_dumps(row)
 
 
 # --- wiring -----------------------------------------------------------------
@@ -328,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("game", help="score strategies over a parameter sweep")
     add_common(p, _GAME_KEYS)
     p.add_argument("--strategies", default="instant",
-                   help="comma list: no_answer,random,instant,classical,rsp,approx:<F>")
+                   help=f"comma list of: {_TOKEN_LIST}")
     p.add_argument("--reward", default=1.0, help="points P for a correct answer")
     p.add_argument("--penalty", default="0",
                    help="points N lost on a wrong answer; comma list sweeps")

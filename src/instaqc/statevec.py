@@ -191,6 +191,16 @@ def outcome_probabilities(state: StateVector, targets, basis) -> np.ndarray:
     return (np.abs(proj) ** 2).sum(axis=1)
 
 
+def _draw(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """Sample an outcome index from unnormalized probabilities.
+
+    The one sampling rule of the package: one rng.random() u, and the first
+    index whose normalized cumulative probability exceeds u.
+    """
+    cum = np.cumsum(probs / probs.sum())
+    return min(int(np.searchsorted(cum, rng.random(), side="right")), len(probs) - 1)
+
+
 def measure_in_basis(state: StateVector, targets, basis, rng: np.random.Generator):
     """Projectively measure `targets` in an orthonormal basis.
 
@@ -205,8 +215,7 @@ def measure_in_basis(state: StateVector, targets, basis, rng: np.random.Generato
     psi = _targets_to_front(state, targets)
     proj = mat.conj() @ psi
     probs = (np.abs(proj) ** 2).sum(axis=1)
-    cum = np.cumsum(probs / probs.sum())
-    outcome = min(int(np.searchsorted(cum, rng.random(), side="right")), len(probs) - 1)
+    outcome = _draw(probs, rng)
 
     rest = proj[outcome] / np.sqrt(probs[outcome])
     collapsed = np.outer(mat[outcome], rest)

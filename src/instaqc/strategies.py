@@ -7,18 +7,17 @@ grades any answer by a check measurement against the true circuit output:
 """
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .circuit import Circuit, apply_circuit
 from .statevec import (
     StateVector,
+    _draw,
     basis_state,
-    measure_in_basis,
     orthonormal_basis_containing,
     project_out,
     sample_haar_state,
@@ -30,22 +29,16 @@ from .teleport import (
     run_instantaneous,
 )
 
-KIND_NAMES = ("no_answer", "random_guess", "instantaneous", "classical_basis",
-              "remote_state_prep", "approximate")
-
-# Strategies that burn one precomputation run every trial, answered or not.
-_CONSUMES_RUN = ("instantaneous", "classical_basis", "remote_state_prep")
-
 
 @dataclass(frozen=True)
 class StrategyKind:
-    """One of KIND_NAMES; `fidelity` is set only for "approximate"."""
+    """A key of STRATEGIES; `fidelity` is set only for "approximate"."""
 
     name: str
     fidelity: float | None = None
 
     def __post_init__(self):
-        if self.name not in KIND_NAMES:
+        if self.name not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.name!r}")
         if self.name == "approximate":
             if self.fidelity is None or not 0.0 <= self.fidelity <= 1.0:
@@ -59,17 +52,6 @@ class StrategyKind:
         if self.name == "approximate":
             return f"approximate({self.fidelity!r})"
         return self.name
-
-
-NO_ANSWER = StrategyKind("no_answer")
-RANDOM_GUESS = StrategyKind("random_guess")
-INSTANTANEOUS = StrategyKind("instantaneous")
-CLASSICAL_BASIS = StrategyKind("classical_basis")
-REMOTE_STATE_PREP = StrategyKind("remote_state_prep")
-
-
-def approximate(fidelity: float) -> StrategyKind:
-    return StrategyKind("approximate", fidelity)
 
 
 @dataclass(frozen=True)
@@ -111,32 +93,8 @@ class GameReport:
                 f"{self.answered_count} answered, {self.trials} trials")
 
 
-GAME_CSV_COLUMNS = ("strategy", "n", "P", "N", "C", "trials", "answered",
-                    "correct", "empirical_score", "analytic_score", "total_cost")
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def game_report_csv_row(report: GameReport) -> list[str]:
-    p = report.params
-    return [report.strategy, str(report.n), _fmt(p.reward_P), _fmt(p.penalty_N),
-            _fmt(p.cost_C), str(report.trials), str(report.answered_count),
-            str(report.correct_O_count), _fmt(report.empirical_mean_score),
-            _fmt(report.analytic_expected_score), _fmt(report.total_cost)]
-
-
-def game_reports_to_csv(reports) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(GAME_CSV_COLUMNS)
-    for report in reports:
-        writer.writerow(game_report_csv_row(report))
-    return buf.getvalue()
-
-
 def game_report_to_dict(report: GameReport) -> dict:
+    """The report as one output row; the CLI prints it as JSON or CSV."""
     p = report.params
     return {
         "strategy": report.strategy,
@@ -153,42 +111,22 @@ def game_report_to_dict(report: GameReport) -> dict:
     }
 
 
-def expected_score(kind: StrategyKind, n: int, params: ScoreParams) -> float:
-    """Analytic per-trial mean score, cost excluded."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    P, N = params.reward_P, params.penalty_N
-    hit = 2.0**-n
-    if kind.name == "no_answer":
-        return 0.0
-    if kind.name == "random_guess":
-        return P * hit - N * (1.0 - hit)
-    if kind.name == "instantaneous":
-        return P * 4.0**-n
-    if kind.name in ("classical_basis", "remote_state_prep"):
-        return P * hit
-    F = kind.fidelity
-    return P * F - N * (1.0 - F)
-
-
 def classical_basis_strategy(n: int, circuit: Circuit, actual_input_index: int,
-                             precomputed_guess_index: int,
-                             rng: np.random.Generator):
+                             precomputed_guess_index: int):
     """Distinguish a known-basis input by measurement; answer only on a match.
 
     The strategy committed to `precomputed_guess_index` before the input
-    existed and holds the circuit output for that guess.  Measuring the
-    basis-state input identifies it with certainty, so the answer (when
-    given) is always right.
+    existed and holds the circuit output for that guess.  A basis-state input
+    measured in the computational basis gives its own index with certainty,
+    so the measurement is the index comparison and the answer (when given)
+    is always right.
     """
     dim = 1 << n
     if not 0 <= actual_input_index < dim:
         raise ValueError(f"input index {actual_input_index} out of range")
     if not 0 <= precomputed_guess_index < dim:
         raise ValueError(f"guess index {precomputed_guess_index} out of range")
-    state = basis_state(n, actual_input_index)
-    measured, _, _ = measure_in_basis(state, range(n), np.eye(dim), rng)
-    if measured != precomputed_guess_index:
+    if actual_input_index != precomputed_guess_index:
         return False, None
     return True, apply_circuit(circuit, basis_state(n, precomputed_guess_index))
 
@@ -198,8 +136,9 @@ def rsp_strategy(n: int, circuit: Circuit, known_input: StateVector,
     """Steer the precomputed output onto a known input by measuring the near block.
 
     Measures the near block in a basis whose first element is the complex
-    conjugate of the input; that outcome (probability 2^-n for every input)
-    leaves the far block holding the circuit output, and the strategy answers.
+    conjugate of the input.  Only that outcome matters: projecting onto it
+    gives its probability (2^-n for every input) and the far block, which
+    then holds the circuit output, and one draw decides whether it fired.
     Pass `resource` to reuse one precomputation across trials.
     """
     if known_input.num_qubits != n:
@@ -208,12 +147,10 @@ def rsp_strategy(n: int, circuit: Circuit, known_input: StateVector,
         resource = prepare_offline(circuit)
     elif resource.n != n:
         raise ValueError(f"resource holds {resource.n}-qubit pairs, expected {n}")
-    basis = orthonormal_basis_containing(known_input.amplitudes.conj())
-    outcome, _, collapsed = measure_in_basis(
-        resource.joint_state, range(n), basis, rng)
-    if outcome != 0:
+    prob, far = project_out(resource.joint_state, range(n),
+                            known_input.amplitudes.conj())
+    if _draw(np.array([prob, 1.0 - prob]), rng) != 0:
         return False, None
-    _, far = project_out(collapsed, range(n), basis[0])
     return True, far
 
 
@@ -229,61 +166,124 @@ def approximate_output(correct: StateVector, fidelity_F: float) -> StateVector:
     return StateVector(correct.num_qubits, amps)
 
 
+# --- per-trial samplers ---------------------------------------------------------
+# Each plays one round: (answer, correct output) if the strategy answers, else
+# None.  They call the layer functions through this module's globals.
+
+def _decline(kind, circuit, resource, rng):
+    return None
+
+
+def _guess(kind, circuit, resource, rng):
+    n = circuit.num_qubits
+    target = apply_circuit(circuit, sample_haar_state(n, rng))
+    return sample_haar_state(n, rng), target
+
+
+def _teleport(kind, circuit, resource, rng):
+    psi = sample_haar_state(circuit.num_qubits, rng)
+    result = run_instantaneous(resource, psi, rng)
+    return (result.output_state, apply_circuit(circuit, psi)) if result.success else None
+
+
+def _classical(kind, circuit, resource, rng):
+    n = circuit.num_qubits
+    actual = int(rng.integers(1 << n))
+    guess = int(rng.integers(1 << n))
+    ok, output = classical_basis_strategy(n, circuit, actual, guess)
+    return (output, apply_circuit(circuit, basis_state(n, actual))) if ok else None
+
+
+def _steer(kind, circuit, resource, rng):
+    n = circuit.num_qubits
+    known = sample_haar_state(n, rng)
+    ok, output = rsp_strategy(n, circuit, known, rng, resource=resource)
+    return (output, apply_circuit(circuit, known)) if ok else None
+
+
+def _approximate(kind, circuit, resource, rng):
+    target = apply_circuit(circuit, sample_haar_state(circuit.num_qubits, rng))
+    return approximate_output(target, kind.fidelity), target
+
+
+@dataclass(frozen=True)
+class Strategy:
+    """One strategy: CLI token, run accounting, analytic score, sampler.
+
+    `score(kind, n, P, N)` is the mean per-trial score, cost excluded.
+    `consumes_run` strategies burn one precomputation run every trial,
+    answered or not; `needs_resource` ones sample from a prepared resource.
+    """
+
+    token: str
+    consumes_run: bool
+    needs_resource: bool
+    score: Callable[[StrategyKind, int, float, float], float]
+    sample: Callable
+
+
+STRATEGIES = {
+    "no_answer": Strategy("no_answer", False, False,
+                          lambda kind, n, P, N: 0.0, _decline),
+    "random_guess": Strategy("random", False, False,
+                             lambda kind, n, P, N: P * 2.0**-n - N * (1.0 - 2.0**-n),
+                             _guess),
+    "instantaneous": Strategy("instant", True, True,
+                              lambda kind, n, P, N: P * 4.0**-n, _teleport),
+    "classical_basis": Strategy("classical", True, False,
+                                lambda kind, n, P, N: P * 2.0**-n, _classical),
+    "remote_state_prep": Strategy("rsp", True, True,
+                                  lambda kind, n, P, N: P * 2.0**-n, _steer),
+    "approximate": Strategy("approx", False, False,
+                            lambda kind, n, P, N: (P * kind.fidelity
+                                                   - N * (1.0 - kind.fidelity)),
+                            _approximate),
+}
+
+NO_ANSWER = StrategyKind("no_answer")
+RANDOM_GUESS = StrategyKind("random_guess")
+INSTANTANEOUS = StrategyKind("instantaneous")
+CLASSICAL_BASIS = StrategyKind("classical_basis")
+REMOTE_STATE_PREP = StrategyKind("remote_state_prep")
+
+
+def approximate(fidelity: float) -> StrategyKind:
+    return StrategyKind("approximate", fidelity)
+
+
+def expected_score(kind: StrategyKind, n: int, params: ScoreParams) -> float:
+    """Analytic per-trial mean score, cost excluded."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    return STRATEGIES[kind.name].score(kind, n, params.reward_P, params.penalty_N)
+
+
 def run_game(kind: StrategyKind, n: int, circuit: Circuit, params: ScoreParams,
              trials: int, rng: np.random.Generator) -> GameReport:
-    """Play `trials` independent rounds of one strategy and tally the score."""
+    """Play `trials` independent rounds of one strategy and tally the score.
+
+    Every answer is graded by the check measurement against the true output.
+    """
     if circuit.num_qubits != n:
         raise ValueError(f"circuit has {circuit.num_qubits} qubits, game needs {n}")
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
+    entry = STRATEGIES[kind.name]
+    resource = prepare_offline(circuit) if entry.needs_resource else None
 
     answered = correct = 0
     score = 0.0
-
-    def grade(output: StateVector, target: StateVector) -> None:
-        nonlocal answered, correct, score
+    for _ in range(trials):
+        drawn = entry.sample(kind, circuit, resource, rng)
+        if drawn is None:
+            continue
         answered += 1
-        is_O, _ = check_measurement(output, target, rng)
-        if is_O:
+        if check_measurement(*drawn, rng)[0]:
             correct += 1
             score += params.reward_P
         else:
             score -= params.penalty_N
 
-    if kind.name == "no_answer":
-        pass  # declines every round; score stays 0
-    elif kind.name == "random_guess":
-        for _ in range(trials):
-            target = apply_circuit(circuit, sample_haar_state(n, rng))
-            grade(sample_haar_state(n, rng), target)
-    elif kind.name == "instantaneous":
-        resource = prepare_offline(circuit)
-        for _ in range(trials):
-            psi = sample_haar_state(n, rng)
-            result = run_instantaneous(resource, psi, rng)
-            if result.success:
-                grade(result.output_state, apply_circuit(circuit, psi))
-    elif kind.name == "classical_basis":
-        dim = 1 << n
-        for _ in range(trials):
-            actual = int(rng.integers(dim))
-            guess = int(rng.integers(dim))
-            ok, output = classical_basis_strategy(n, circuit, actual, guess, rng)
-            if ok:
-                grade(output, apply_circuit(circuit, basis_state(n, actual)))
-    elif kind.name == "remote_state_prep":
-        resource = prepare_offline(circuit)
-        for _ in range(trials):
-            known = sample_haar_state(n, rng)
-            ok, output = rsp_strategy(n, circuit, known, rng, resource=resource)
-            if ok:
-                grade(output, apply_circuit(circuit, known))
-    else:  # approximate
-        for _ in range(trials):
-            target = apply_circuit(circuit, sample_haar_state(n, rng))
-            grade(approximate_output(target, kind.fidelity), target)
-
-    total_cost = params.cost_C * trials if kind.name in _CONSUMES_RUN else 0.0
     return GameReport(
         strategy=kind.label,
         n=n,
@@ -293,7 +293,7 @@ def run_game(kind: StrategyKind, n: int, circuit: Circuit, params: ScoreParams,
         correct_O_count=correct,
         empirical_mean_score=score / trials,
         analytic_expected_score=expected_score(kind, n, params),
-        total_cost=total_cost,
+        total_cost=params.cost_C * trials if entry.consumes_run else 0.0,
     )
 
 

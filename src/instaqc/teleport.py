@@ -26,11 +26,10 @@ from .statevec import (
     Z,
     GateMatrix,
     StateVector,
+    _draw,
     _targets_to_front,
     apply_gate,
     fidelity,
-    measure_in_basis,
-    orthonormal_basis_containing,
     project_out,
     tensor_product,
 )
@@ -156,16 +155,15 @@ def _sample_pairs(proj: np.ndarray, rng: np.random.Generator):
     """Bell-measure the pairs in order, starting from the first pair's
     (4, far, near, input) projection.
 
-    Each pair takes one rng.random() and the cumsum/searchsorted rule of
-    measure_in_basis, keeps the chosen slice renormalized, and the register
-    loses two qubits.  Returns the outcome and the n-qubit far-block state.
+    Each pair takes one `_draw`, keeps the chosen slice renormalized, and
+    the register loses two qubits.  Returns the outcome and the n-qubit
+    far-block state.
     """
     bits = []
     while True:
         flat = proj.reshape(4, -1).view(float)  # (re, im) interleaved
         probs = np.einsum("ij,ij->i", flat, flat)
-        cum = np.cumsum(probs / probs.sum())
-        b = min(int(np.searchsorted(cum, rng.random(), side="right")), 3)
+        b = _draw(probs, rng)
         bits.append((b & 1, b >> 1))
         state = proj[b] / np.sqrt(probs[b])
         if state.shape[1] == 1:
@@ -262,14 +260,10 @@ def run_with_corrections(result: InstantRunResult, circuit: Circuit):
 
 def check_measurement(output: StateVector, correct: StateVector,
                       rng: np.random.Generator):
-    """Measure `output` in an orthonormal basis whose first element is `correct`.
+    """Measure `output` in any orthonormal basis whose first element is `correct`.
 
-    Returns (is_O, probability_O): whether the sampled outcome hit the
-    correct-state element, and its exact probability |<correct|output>|².
+    Only "first element or not" matters, and that is Bernoulli(|<correct|output>|²),
+    so it is one draw.  Returns (is_O, probability_O).
     """
-    if output.num_qubits != correct.num_qubits:
-        raise ValueError(
-            f"qubit counts differ: {output.num_qubits} vs {correct.num_qubits}")
-    basis = orthonormal_basis_containing(correct.amplitudes)
-    idx, _, _ = measure_in_basis(output, range(output.num_qubits), basis, rng)
-    return idx == 0, fidelity(output, correct)
+    prob = fidelity(output, correct)
+    return _draw(np.array([prob, 1.0 - prob]), rng) == 0, prob

@@ -11,8 +11,6 @@ Pure arithmetic, no randomness: the comparison is an ordering of times.
 """
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, fields
 
@@ -75,12 +73,6 @@ def simulate_timeline(config: TimelineConfig) -> TimelineReport:
     )
 
 
-TIMELINE_CSV_COLUMNS = ("alice_output_time", "message_arrival_time",
-                        "bob_ready_time", "bob_can_answer_instantly",
-                        "conventional_finish_time", "teleport_meets_deadline",
-                        "conventional_meets_deadline")
-
-
 def timeline_config_from_dict(doc: dict) -> TimelineConfig:
     """Build a config from parsed JSON, rejecting unknown keys."""
     names = [f.name for f in fields(TimelineConfig)]
@@ -92,16 +84,3 @@ def timeline_config_from_dict(doc: dict) -> TimelineConfig:
         raise ValueError(f"missing timeline fields: {sorted(missing)}")
     return TimelineConfig(**{k: float(v) for k, v in doc.items()})
 
-
-def timeline_report_to_dict(report: TimelineReport) -> dict:
-    return {col: getattr(report, col) for col in TIMELINE_CSV_COLUMNS}
-
-
-def timeline_report_to_csv(report: TimelineReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(TIMELINE_CSV_COLUMNS)
-    writer.writerow([f"{getattr(report, col):.17g}" if isinstance(getattr(report, col), float)
-                     else str(getattr(report, col)).lower()
-                     for col in TIMELINE_CSV_COLUMNS])
-    return buf.getvalue()

@@ -1,4 +1,5 @@
 """Command-line behavior: formats, exit codes, determinism, config handling."""
+import dataclasses
 import io
 import json
 import os
@@ -9,8 +10,11 @@ import numpy as np
 import pytest
 
 import instaqc
-from instaqc.circuit import random_circuit, save_circuit
-from instaqc.cli import _json_dumps, main
+from instaqc.circuit import Circuit, random_circuit, save_circuit
+from instaqc.cli import _fmt, _json_dumps, _parse_strategy_token, main
+from instaqc.statevec import GateMatrix
+from instaqc.strategies import STRATEGIES
+from instaqc.timeline import TimelineReport
 
 
 def run_cli(capsys, *argv):
@@ -90,9 +94,10 @@ def test_teleport_reads_circuit_file(tmp_path, capsys):
 def test_teleport_circuit_file_n_mismatch(tmp_path, capsys):
     path = tmp_path / "c.json"
     save_circuit(random_circuit(2, 1, np.random.default_rng(0)), path)
-    code, _, err = run_cli(capsys, "teleport", "--circuit", str(path), "--n", "3")
-    assert code == 2
-    assert "2 qubits" in err
+    for command, n in (("teleport", "3"), ("game", "3"), ("game", "1:2")):
+        code, _, err = run_cli(capsys, command, "--circuit", str(path), "--n", n)
+        assert code == 2
+        assert "2 qubits" in err
 
 
 def test_teleport_missing_circuit_file(capsys):
@@ -171,6 +176,102 @@ def test_game_unknown_strategy(capsys):
     code, _, err = run_cli(capsys, "game", "--n", "1", "--strategies", "psychic")
     assert code == 2
     assert "psychic" in err
+    assert all(entry.token in err for entry in STRATEGIES.values())
+
+
+def _token(name):
+    return STRATEGIES[name].token + (":0.5" if name == "approximate" else "")
+
+
+def test_every_strategy_token_parses_to_its_kind():
+    for name in STRATEGIES:
+        kind = _parse_strategy_token(_token(name))
+        assert kind.name == name
+        assert kind.fidelity == (0.5 if name == "approximate" else None)
+
+
+@pytest.mark.parametrize("token", ["approx", "approx:1.5", "instant:0.5"])
+def test_game_rejects_bad_fidelity_suffix(capsys, token):
+    code, out, err = run_cli(capsys, "game", "--n", "1", "--strategies", token)
+    assert code == 2
+    assert out == ""
+    assert "fidelity" in err
+
+
+def _csv_and_json(capsys, *argv):
+    code, csv_out, _ = run_cli(capsys, *argv, "--csv")
+    assert code == 0
+    code, json_out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    lines = csv_out.split("\n")
+    assert lines[-1] == ""  # newline-terminated
+    return lines[0].split(","), [line.split(",") for line in lines[1:-1]], json.loads(json_out)
+
+
+def test_fmt_rules():
+    assert _fmt(0.07) == "0.070000000000000007"  # 17 significant digits
+    assert _fmt(10.0) == "10"
+    assert _fmt(True) == "true" and _fmt(False) == "false"
+    assert _fmt(None) == ""
+    assert _fmt(3) == "3"
+
+
+def test_game_csv_rows_are_the_json_rows(capsys):
+    header, rows, docs = _csv_and_json(
+        capsys, "game", "--n", "1:2", "--strategies", ",".join(map(_token, STRATEGIES)),
+        "--penalty", "0,10", "--trials", "30", "--seed", "12")
+    assert header == ["strategy", "n", "P", "N", "C", "trials", "answered",
+                      "correct", "empirical_score", "analytic_score", "total_cost"]
+    assert len(rows) == len(docs) == len(STRATEGIES) * 4
+    for row, doc in zip(rows, docs):
+        assert set(doc) == set(header)
+        assert row == [_fmt(doc[key]) for key in header]
+    assert [row[3] for row in rows[:2]] == ["0", "10"]
+
+
+def test_timeline_csv_row_is_the_json_row(monkeypatch, capsys):
+    outputs = []
+    for flags in (("--csv",), ()):
+        _feed_stdin(monkeypatch, TIMELINE)
+        code, out, _ = run_cli(capsys, "timeline", *flags)
+        assert code == 0
+        outputs.append(out)
+    csv_out, json_out = outputs
+    header, row = (line.split(",") for line in csv_out.strip().split("\n"))
+    doc = json.loads(json_out)
+    assert header == [f.name for f in dataclasses.fields(TimelineReport)]
+    assert set(doc) == set(header)
+    assert row == [_fmt(doc[key]) for key in header]
+    assert row[3] == "true" and row[6] == "false"
+
+
+def test_teleport_csv_without_successes_has_empty_fidelities(capsys):
+    argv = ("teleport", "--n", "3", "--trials", "5", "--seed", "1")
+    header, rows, doc = _csv_and_json(capsys, *argv)
+    assert doc["success_count"] == 0
+    assert doc["mean_success_fidelity"] is None
+    assert header == ["n", "trials", "seed", "success_count", "success_rate",
+                      "expected_success_rate", "mean_success_fidelity",
+                      "min_success_fidelity"]
+    assert rows == [[_fmt(doc[key]) for key in header]]
+    assert rows[0][-2:] == ["", ""]
+
+
+@pytest.mark.parametrize("command", ["teleport", "game"])
+def test_non_unitary_circuit_file_is_bad_input(monkeypatch, tmp_path, capsys, command):
+    # each gate passes its own 1e-9 check; 200 of them drift past it
+    drift = GateMatrix(1, np.diag([1.0, 1.0 + 4e-10]))
+    path = tmp_path / "drift.json"
+    save_circuit(Circuit(1, ((drift, (0,)),) * 200), path)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ran past the parse")
+    for name in ("prepare_offline", "run_game"):
+        monkeypatch.setattr(f"instaqc.cli.{name}", forbidden)
+    code, out, err = run_cli(capsys, command, "--circuit", str(path), "--trials", "5")
+    assert code == 2
+    assert out == ""
+    assert "not unitary" in err
 
 
 def test_game_determinism(tmp_path, capsys):

@@ -9,7 +9,6 @@ from instaqc.circuit import Circuit, apply_circuit, random_circuit
 from instaqc.statevec import basis_state, fidelity, sample_haar_state
 from instaqc.strategies import (
     CLASSICAL_BASIS,
-    GAME_CSV_COLUMNS,
     INSTANTANEOUS,
     NO_ANSWER,
     RANDOM_GUESS,
@@ -23,9 +22,7 @@ from instaqc.strategies import (
     classical_basis_strategy,
     cost_analysis,
     expected_score,
-    game_report_csv_row,
     game_report_to_dict,
-    game_reports_to_csv,
     rsp_strategy,
     run_game,
 )
@@ -118,26 +115,23 @@ def test_instantaneous_vs_random_guess_threshold():
 # --- strategy primitives ----------------------------------------------------------
 
 def test_classical_basis_match_answers_correctly():
-    rng = np.random.default_rng(90)
-    circ = random_circuit(2, 3, rng)
-    answered, output = classical_basis_strategy(2, circ, 3, 3, rng)
+    circ = random_circuit(2, 3, np.random.default_rng(90))
+    answered, output = classical_basis_strategy(2, circ, 3, 3)
     assert answered
     assert fidelity(output, apply_circuit(circ, basis_state(2, 3))) > 1 - 1e-9
 
 
 def test_classical_basis_mismatch_declines():
-    rng = np.random.default_rng(91)
-    answered, output = classical_basis_strategy(2, Circuit(2), 1, 2, rng)
+    answered, output = classical_basis_strategy(2, Circuit(2), 1, 2)
     assert not answered
     assert output is None
 
 
 def test_classical_basis_index_validation():
-    rng = np.random.default_rng(92)
     with pytest.raises(ValueError, match="input index"):
-        classical_basis_strategy(1, Circuit(1), 2, 0, rng)
+        classical_basis_strategy(1, Circuit(1), 2, 0)
     with pytest.raises(ValueError, match="guess index"):
-        classical_basis_strategy(1, Circuit(1), 0, 2, rng)
+        classical_basis_strategy(1, Circuit(1), 0, 2)
 
 
 def test_classical_basis_answer_rate():
@@ -148,7 +142,7 @@ def test_classical_basis_answer_rate():
     for _ in range(trials):
         actual = int(rng.integers(8))
         guess = int(rng.integers(8))
-        answered, _ = classical_basis_strategy(3, circ, actual, guess, rng)
+        answered, _ = classical_basis_strategy(3, circ, actual, guess)
         hits += answered
     rate_within_3sigma(hits, trials, 0.125)
 
@@ -323,26 +317,6 @@ def test_breakeven_separates_the_scores():
 
 
 # --- serialization -------------------------------------------------------------------
-
-def test_csv_row_layout():
-    report = GameReport("instantaneous", 2, ScoreParams(1.0, 10.0, 0.5),
-                        100, 7, 7, 0.07, 0.0625, 50.0)
-    row = game_report_csv_row(report)
-    assert len(row) == len(GAME_CSV_COLUMNS)
-    assert row[0] == "instantaneous"
-    assert row[1] == "2"
-    assert row[3] == "10"
-    assert row[8] == "0.070000000000000007"  # 17 significant digits
-
-
-def test_csv_document_shape():
-    params = ScoreParams(1.0, 0.0)
-    reports = [GameReport("no_answer", 1, params, 10, 0, 0, 0.0, 0.0, 0.0)] * 2
-    text = game_reports_to_csv(reports)
-    lines = text.strip().split("\n")
-    assert lines[0] == ",".join(GAME_CSV_COLUMNS)
-    assert len(lines) == 3
-
 
 def test_report_dict_round_trips_through_json():
     import json

@@ -1,14 +1,11 @@
-"""Two-site deadline arithmetic and its serialization."""
+"""Two-site deadline arithmetic and its config parsing."""
 import numpy as np
 import pytest
 
 from instaqc.timeline import (
-    TIMELINE_CSV_COLUMNS,
     TimelineConfig,
     simulate_timeline,
     timeline_config_from_dict,
-    timeline_report_to_csv,
-    timeline_report_to_dict,
 )
 
 
@@ -129,15 +126,3 @@ def test_config_from_dict():
     with pytest.raises(ValueError, match="missing"):
         timeline_config_from_dict({"t1": 0, "t2": 4})
 
-
-def test_report_serialization():
-    report = simulate_timeline(_config())
-    doc = timeline_report_to_dict(report)
-    assert set(doc) == set(TIMELINE_CSV_COLUMNS)
-    text = timeline_report_to_csv(report)
-    lines = text.strip().split("\n")
-    assert lines[0] == ",".join(TIMELINE_CSV_COLUMNS)
-    cells = lines[1].split(",")
-    assert cells[0] == "1"
-    assert cells[3] == "false"
-    assert cells[5] == "true"
