@@ -15,10 +15,10 @@ import numpy as np
 
 from .circuit import Circuit, apply_circuit
 from .statevec import (
+    _GS_RESIDUAL_MIN,
     StateVector,
     _draw,
     basis_state,
-    orthonormal_basis_containing,
     project_out,
     sample_haar_state,
 )
@@ -156,13 +156,20 @@ def rsp_strategy(n: int, circuit: Circuit, known_input: StateVector,
 
 def approximate_output(correct: StateVector, fidelity_F: float) -> StateVector:
     """State with overlap exactly fidelity_F against `correct`: mixes in the
-    first Gram-Schmidt completion direction."""
+    first Gram-Schmidt completion direction, (e_j - conj(c_j) c) / norm for
+    the first basis index j not nearly parallel to c, which is row 1 of
+    `orthonormal_basis_containing(c)`."""
     if not 0.0 <= fidelity_F <= 1.0:
         raise ValueError(f"fidelity must be in [0, 1], got {fidelity_F}")
     if fidelity_F == 1.0:
         return correct
-    basis = orthonormal_basis_containing(correct.amplitudes)
-    amps = math.sqrt(fidelity_F) * basis[0] + math.sqrt(1.0 - fidelity_F) * basis[1]
+    c = correct.amplitudes / np.linalg.norm(correct.amplitudes)
+    # |c_j|^2 <= 1 - _GS_RESIDUAL_MIN holds for some j whenever dim >= 2
+    j = int(np.argmax(1.0 - np.abs(c) ** 2 > _GS_RESIDUAL_MIN))
+    w = -c[j].conj() * c
+    w[j] += 1.0
+    w /= np.linalg.norm(w)
+    amps = math.sqrt(fidelity_F) * c + math.sqrt(1.0 - fidelity_F) * w
     return StateVector(correct.num_qubits, amps)
 
 

@@ -16,6 +16,7 @@ against an exhaustive single-qubit oracle kept in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from .statevec import (
     StateVector,
     _draw,
     _targets_to_front,
-    apply_gate,
     fidelity,
     project_out,
     tensor_product,
@@ -48,6 +48,8 @@ BELL_BASIS = np.array([
 # Conjugated Bell rows as [outcome, near bit, input bit]: a pair's vector index
 # is input_i + 2 near_i.
 _BELL_CONJ = BELL_BASIS.conj().reshape(4, 2, 2)
+# The same as one (outcome, near bit) x input bit matrix, for 2-D matmuls.
+_BELL_ROWS = _BELL_CONJ.reshape(8, 2)
 
 # (x, z) -> single-qubit gates applied in listed order to undo the residue.
 CORRECTIONS: dict[tuple[int, int], tuple[GateMatrix, ...]] = {
@@ -103,6 +105,26 @@ class OfflineResource:
         if self.circuit.num_qubits != self.n:
             raise ValueError("circuit size does not match resource size")
 
+    @cached_property
+    def near_grams(self) -> tuple[np.ndarray, ...]:
+        """Read-only Gram matrices of the near block, built on first access.
+
+        With R[far, near] the joint amplitudes and M = R^H R, entry k is M
+        traced over near bits k+1..n-1, a 2^(k+1) x 2^(k+1) matrix indexed
+        little-endian by near bits 0..k; the last entry is M itself.  Once
+        pairs 0..k are measured, each outcome's probability is a quadratic
+        form in these, so the Bell step never touches the far block.
+        """
+        side = 1 << self.n
+        r = self.joint_state.amplitudes.reshape(side, side)
+        grams = [r.conj().T @ r]
+        while grams[0].shape[0] > 2:
+            half = grams[0].shape[0] // 2
+            grams.insert(0, grams[0][:half, :half] + grams[0][half:, half:])
+        for gram in grams:
+            gram.setflags(write=False)
+        return tuple(grams)
+
 
 @dataclass(frozen=True, eq=False)
 class InstantRunResult:
@@ -143,65 +165,63 @@ def _pair_outcome_vector(n: int, bits) -> np.ndarray:
     return v
 
 
-def _project_lowest_pair(state: np.ndarray) -> np.ndarray:
-    """Contract the lowest (near, input) bit pair of a (far, near, input)
-    array with the four Bell vectors: (4, far, near/2, input/2)."""
-    far, near, inp = state.shape
-    split = state.reshape(far, near // 2, 2, inp // 2, 2)
-    return np.tensordot(_BELL_CONJ, split, axes=([1, 2], [2, 4]))
+def bell_measure_pairs(joint: StateVector, rng: np.random.Generator):
+    """Measure each (input_i, near_i) pair in the Bell basis, pair 0 first.
 
-
-def _sample_pairs(proj: np.ndarray, rng: np.random.Generator):
-    """Bell-measure the pairs in order, starting from the first pair's
-    (4, far, near, input) projection.
-
-    Each pair takes one `_draw`, keeps the chosen slice renormalized, and
-    the register loses two qubits.  Returns the outcome and the n-qubit
+    `joint` must hold 3n qubits laid out [input | near | far].  Each pair is
+    contracted with the four Bell vectors out of what is left, takes one
+    `_draw`, and keeps the chosen slice renormalized, so the register loses
+    two qubits per pair.  Returns the outcome and the renormalized n-qubit
     far-block state.
     """
+    if joint.num_qubits % 3 != 0:
+        raise ValueError(f"{joint.num_qubits} qubits does not split into 3 blocks")
+    side = 1 << (joint.num_qubits // 3)
+    state = joint.amplitudes.reshape(side, side, side)  # (far, near, input)
     bits = []
-    while True:
+    while state.shape[1] > 1:
+        far, near, inp = state.shape
+        split = state.reshape(far, near // 2, 2, inp // 2, 2)
+        # (4, far, near/2, input/2): the lowest (near, input) pair contracted
+        proj = np.tensordot(_BELL_CONJ, split, axes=([1, 2], [2, 4]))
         flat = proj.reshape(4, -1).view(float)  # (re, im) interleaved
         probs = np.einsum("ij,ij->i", flat, flat)
         b = _draw(probs, rng)
         bits.append((b & 1, b >> 1))
         state = proj[b] / np.sqrt(probs[b])
-        if state.shape[1] == 1:
-            return BsmOutcome(tuple(bits)), StateVector(len(bits), state.reshape(-1))
-        proj = _project_lowest_pair(state)
-
-
-def bell_measure_pairs(joint: StateVector, rng: np.random.Generator):
-    """Measure each (input_i, near_i) pair in the Bell basis, pair 0 first.
-
-    `joint` must hold 3n qubits laid out [input | near | far].  Returns the
-    outcome and the renormalized n-qubit far-block state.
-    """
-    if joint.num_qubits % 3 != 0:
-        raise ValueError(f"{joint.num_qubits} qubits does not split into 3 blocks")
-    side = 1 << (joint.num_qubits // 3)
-    state = joint.amplitudes.reshape(side, side, side)
-    return _sample_pairs(_project_lowest_pair(state), rng)
+    return BsmOutcome(tuple(bits)), StateVector(len(bits), state.reshape(-1))
 
 
 def run_instantaneous(resource: OfflineResource, input_state: StateVector,
                       rng: np.random.Generator) -> InstantRunResult:
     """One protocol attempt: Bell-measure the input against the resource.
 
-    The 3n-qubit product is never formed: the first pair is contracted from
-    the input and the resource separately.
+    Input and resource are in product, so the carried state is only
+    w[near bits measured so far, input bits not yet measured], 2^n
+    amplitudes.  Pair k contracts input bit k with the four Bell vectors and
+    weighs each outcome with the resource's near-block Gram matrix
+    (`OfflineResource.near_grams`); one draw per pair, in pair order, as in
+    `bell_measure_pairs`, which is the reference for this kernel.  The far
+    block is read once, for the output.
     """
     n = resource.n
     if input_state.num_qubits != n:
         raise ValueError(
             f"input has {input_state.num_qubits} qubits, resource expects {n}")
-    half = 1 << (n - 1)
-    # (4, near bit 0, input/2): input bit 0 contracted with each Bell vector
-    partial = _BELL_CONJ @ input_state.amplitudes.reshape(half, 2).T
-    # (4, far * near/2, input/2): near bit 0 contracted with the resource
-    proj = resource.joint_state.amplitudes.reshape(-1, 2) @ partial
-    outcome, far = _sample_pairs(proj.reshape(4, 2 * half, half, half), rng)
-    return InstantRunResult(outcome, outcome.all_trivial(), far)
+    w = input_state.amplitudes
+    bits = []
+    for gram in resource.near_grams:
+        # (4, near bits 0..k, input bits k+1..): input bit k contracted
+        c = (_BELL_ROWS @ w.reshape(-1, 2).T).reshape(4, gram.shape[0], -1)
+        probs = (c.conj() * (gram @ c)).sum(axis=(1, 2)).real  # c^H G c
+        b = _draw(probs, rng)
+        bits.append((b & 1, b >> 1))
+        w = c[b]
+    side = 1 << n
+    far = resource.joint_state.amplitudes.reshape(side, side) @ w[:, 0]
+    outcome = BsmOutcome(tuple(bits))
+    return InstantRunResult(outcome, outcome.all_trivial(),
+                            StateVector(n, far / np.sqrt(probs[b])))
 
 
 def force_outcome(resource: OfflineResource, input_state: StateVector,
@@ -240,22 +260,35 @@ def outcome_distribution(resource: OfflineResource,
     return probs
 
 
+def _parity(values: np.ndarray, bits: int) -> np.ndarray:
+    """Parity of the low `bits` bits of each entry, by xor folding (numpy's
+    bitwise_count needs numpy 2)."""
+    shift = 1
+    while shift < bits:
+        values = values ^ (values >> shift)
+        shift <<= 1
+    return values & 1
+
+
 def run_with_corrections(result: InstantRunResult, circuit: Circuit):
     """Repair a non-trivial outcome: un-run the circuit, undo the per-qubit
     Pauli residues, run the circuit again.
 
+    The residues X^x Z^z of CORRECTIONS over all qubits form one signed
+    permutation, v'[j] = (-1)^popcount(j & zmask) v[j ^ xmask].
     Returns (corrected output, extra circuit executions = 2).
     """
     n = circuit.num_qubits
     if len(result.outcome.bits) != n:
         raise ValueError(
             f"outcome has {len(result.outcome.bits)} pairs, circuit has {n} qubits")
+    xmask = sum(x << i for i, (x, _) in enumerate(result.outcome.bits))
+    zmask = sum(z << i for i, (_, z) in enumerate(result.outcome.bits))
+    idx = np.arange(1 << n)
+    sign = 1 - 2 * _parity(idx & zmask, n)
     # U^dag psi as conj(conj(psi) U): un-runs the circuit without copying U
-    state = StateVector(n, (result.output_state.amplitudes.conj() @ circuit.unitary).conj())
-    for i, key in enumerate(result.outcome.bits):
-        for gate in CORRECTIONS[key]:
-            state = apply_gate(state, gate, [i])
-    return apply_circuit(circuit, state), 2
+    unrun = (result.output_state.amplitudes.conj() @ circuit.unitary).conj()
+    return StateVector(n, circuit.unitary @ (sign * unrun[idx ^ xmask])), 2
 
 
 def check_measurement(output: StateVector, correct: StateVector,

@@ -6,7 +6,12 @@ import pytest
 
 from conftest import assert_within_3sigma, per_trial_scores, rate_within_3sigma
 from instaqc.circuit import Circuit, apply_circuit, random_circuit
-from instaqc.statevec import basis_state, fidelity, sample_haar_state
+from instaqc.statevec import (
+    basis_state,
+    fidelity,
+    orthonormal_basis_containing,
+    sample_haar_state,
+)
 from instaqc.strategies import (
     CLASSICAL_BASIS,
     INSTANTANEOUS,
@@ -202,6 +207,22 @@ def test_approximate_output_exact_overlap(F):
     correct = sample_haar_state(2, rng)
     out = approximate_output(correct, F)
     assert abs(fidelity(out, correct) - F) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_approximate_output_direction_is_gram_schmidt_row_1(n):
+    rng = np.random.default_rng(98 + n)
+    for _ in range(5):
+        correct = sample_haar_state(n, rng)
+        row = orthonormal_basis_containing(correct.amplitudes)[1]
+        assert np.abs(approximate_output(correct, 0.0).amplitudes - row).max() <= 1e-12
+
+
+def test_approximate_output_skips_parallel_candidate():
+    correct = basis_state(3, 0)  # candidate e_0 is the state itself
+    row = orthonormal_basis_containing(correct.amplitudes)[1]
+    assert np.abs(approximate_output(correct, 0.0).amplitudes - row).max() <= 1e-12
+    assert abs(fidelity(approximate_output(correct, 0.9), correct) - 0.9) < 1e-12
 
 
 def test_approximate_output_validates_fidelity():

@@ -13,6 +13,7 @@ from instaqc.statevec import (
     X,
     Z,
     GateMatrix,
+    StateVector,
     apply_gate,
     basis_state,
     fidelity,
@@ -25,6 +26,7 @@ from instaqc.teleport import (
     BELL_BASIS,
     CORRECTIONS,
     BsmOutcome,
+    InstantRunResult,
     bell_measure_pairs,
     check_measurement,
     force_outcome,
@@ -254,6 +256,26 @@ def test_corrections_outcome_length_mismatch():
     result = run_instantaneous(res, basis_state(1, 0), rng)
     with pytest.raises(ValueError, match="pairs"):
         run_with_corrections(result, Circuit(2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_repair_permutation_matches_corrections_gate_by_gate(n):
+    """The repair's one signed permutation equals un-running the circuit,
+    applying CORRECTIONS gate by gate, and running it again."""
+    rng = np.random.default_rng(75 + n)
+    circ = random_circuit(n, 3, rng)
+    u = circuit_unitary(circ)
+    output = sample_haar_state(n, rng)
+    unrun = StateVector(n, u.conj().T @ output.amplitudes)
+    for code in range(4**n):
+        outcome = BsmOutcome.from_code(n, code)
+        expected = unrun
+        for i, key in enumerate(outcome.bits):
+            for gate in CORRECTIONS[key]:
+                expected = apply_gate(expected, gate, [i])
+        result = InstantRunResult(outcome, outcome.all_trivial(), output)
+        fixed, _ = run_with_corrections(result, circ)
+        assert np.abs(fixed.amplitudes - u @ expected.amplitudes).max() <= 1e-12
 
 
 def _z_rotation(theta):
