@@ -4,8 +4,8 @@ repair the output, and score strategies that exploit the lucky branch.
 """
 from .statevec import (
     CNOT,
-    DEFAULT_MAX_QUBITS,
     H,
+    MAX_QUBITS,
     NAMED_GATES,
     NORM_TOL,
     S,
@@ -31,7 +31,6 @@ from .circuit import (
     apply_circuit,
     circuit_from_dict,
     circuit_to_dict,
-    circuit_unitary,
     inverse,
     load_circuit,
     random_circuit,

@@ -15,6 +15,8 @@ from .statevec import (
     GateMatrix,
     StateVector,
     _apply_gate_batch,
+    _check_gate_targets,
+    _unitarity_error,
 )
 
 Gate = tuple[GateMatrix, tuple[int, ...]]
@@ -30,18 +32,9 @@ class Circuit:
     def __post_init__(self):
         if self.num_qubits < 1:
             raise ValueError(f"num_qubits must be >= 1, got {self.num_qubits}")
-        gates = []
-        for gate, targets in self.gates:
-            targets = tuple(targets)
-            if len(targets) != gate.arity:
-                raise ValueError(
-                    f"gate of arity {gate.arity} got targets {targets}")
-            for t in targets:
-                if not 0 <= t < self.num_qubits:
-                    raise ValueError(
-                        f"target {t} out of range for {self.num_qubits} qubits")
-            gates.append((gate, targets))
-        object.__setattr__(self, "gates", tuple(gates))
+        gates = tuple((gate, _check_gate_targets(self.num_qubits, gate, targets))
+                      for gate, targets in self.gates)
+        object.__setattr__(self, "gates", gates)
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -57,7 +50,7 @@ class Circuit:
         for gate, targets in self.gates:
             rows = _apply_gate_batch(rows, n, gate, targets)
         mat = np.ascontiguousarray(rows.T)
-        err = np.abs(mat @ mat.conj().T - np.eye(1 << n)).max()
+        err = _unitarity_error(mat)
         if not err <= UNITARY_TOL:
             raise ValueError(f"circuit not unitary: max |UU^dag - I| = {err:g}")
         mat.setflags(write=False)
@@ -80,11 +73,6 @@ def inverse(circuit: Circuit) -> Circuit:
     """Reversed gate order with each matrix conjugate-transposed."""
     gates = tuple((gate.dagger(), targets) for gate, targets in reversed(circuit.gates))
     return Circuit(circuit.num_qubits, gates)
-
-
-def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Writable copy of `circuit.unitary` (little-endian column index)."""
-    return circuit.unitary.copy()
 
 
 def _haar_unitary_2x2(rng: np.random.Generator) -> np.ndarray:
@@ -135,21 +123,25 @@ def circuit_to_dict(circuit: Circuit) -> dict:
 
 def circuit_from_dict(doc: dict) -> Circuit:
     gates: list[Gate] = []
-    for entry in doc["gates"]:
-        targets = tuple(entry["targets"])
-        if "name" in entry:
-            name = entry["name"]
-            if name not in NAMED_GATES:
-                raise ValueError(f"unknown gate name {name!r}")
-            gate = NAMED_GATES[name]
-        else:
-            mat = _matrix_from_json(entry["matrix"])
-            arity = {2: 1, 4: 2}.get(mat.shape[0])
-            if arity is None or mat.shape[0] != mat.shape[1]:
-                raise ValueError(f"matrix shape {mat.shape} is not 2x2 or 4x4")
-            gate = GateMatrix(arity, mat)
-        gates.append((gate, targets))
-    return Circuit(doc["num_qubits"], tuple(gates))
+    try:
+        for entry in doc["gates"]:
+            targets = tuple(entry["targets"])
+            if "name" in entry:
+                name = entry["name"]
+                if name not in NAMED_GATES:
+                    raise ValueError(f"unknown gate name {name!r}")
+                gate = NAMED_GATES[name]
+            else:
+                mat = _matrix_from_json(entry["matrix"])
+                arity = {2: 1, 4: 2}.get(mat.shape[0])
+                if arity is None or mat.shape[0] != mat.shape[1]:
+                    raise ValueError(f"matrix shape {mat.shape} is not 2x2 or 4x4")
+                gate = GateMatrix(arity, mat)
+            gates.append((gate, targets))
+        num_qubits = doc["num_qubits"]
+    except KeyError as exc:
+        raise ValueError(f"circuit has no key {exc}") from None
+    return Circuit(num_qubits, tuple(gates))
 
 
 def save_circuit(circuit: Circuit, path) -> None:

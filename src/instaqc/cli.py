@@ -25,7 +25,7 @@ from dataclasses import asdict
 from numpy.random import Generator, SeedSequence, default_rng
 
 from .circuit import apply_circuit, load_circuit, random_circuit
-from .statevec import DEFAULT_MAX_QUBITS, fidelity, sample_haar_state
+from .statevec import MAX_QUBITS, fidelity, sample_haar_state
 from .strategies import (
     STRATEGIES,
     ScoreParams,
@@ -82,16 +82,30 @@ def _parse_strategy_token(token: str) -> StrategyKind:
     return StrategyKind(_TOKENS[head], float(arg) if colon else None)
 
 
+# The resource holds 2n qubits, so n is capped at half the register limit.
+MAX_N = MAX_QUBITS // 2
+
+
+def _check_n(values) -> None:
+    """Reject sizes before anything is allocated."""
+    if min(values) < 1:
+        raise ValueError(f"n must be >= 1, got {min(values)}")
+    if max(values) > MAX_N:
+        raise ValueError(f"n must be <= {MAX_N}, got {max(values)}")
+
+
 def _parse_int_list(value) -> list[int]:
     """Comma-separated ints with inclusive a:b ranges, e.g. '1:3,5' -> [1,2,3,5].
-    JSON configs may supply a ready-made list instead."""
+    JSON configs may supply a ready-made list instead.  Each range's bounds
+    are checked as sizes before it is expanded."""
     if isinstance(value, (list, tuple)):
         return [int(v) for v in value]
     values: list[int] = []
     for part in str(value).split(","):
         if ":" in part:
-            lo, hi = part.split(":", 1)
-            values.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(v) for v in part.split(":", 1))
+            _check_n((lo, hi))
+            values.extend(range(lo, hi + 1))
         else:
             values.append(int(part))
     return values
@@ -114,18 +128,6 @@ def _apply_config(args: argparse.Namespace, allowed: set[str]) -> None:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     for key, value in doc.items():
         setattr(args, key, value)
-
-
-# The resource holds 2n qubits, so n is capped at half the register limit.
-MAX_N = DEFAULT_MAX_QUBITS // 2
-
-
-def _check_n(values) -> None:
-    """Reject sizes before anything is allocated."""
-    if min(values) < 1:
-        raise ValueError(f"n must be >= 1, got {min(values)}")
-    if max(values) > MAX_N:
-        raise ValueError(f"n must be <= {MAX_N}, got {max(values)}")
 
 
 def _check_common(args: argparse.Namespace) -> None:
@@ -295,30 +297,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Precompute-then-teleport protocol experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, keys):
+    def add_common(p):
         p.add_argument("--seed", type=int, default=0,
                        help="root seed; all randomness derives from it")
         p.add_argument("--config", help="JSON file whose keys override flags")
         p.add_argument("--out", help="write output to this file instead of stdout")
         p.add_argument("--csv", action="store_true",
                        help="emit CSV instead of JSON")
-        if "trials" in keys:
-            p.add_argument("--trials", type=int, default=10000)
-        if "n" in keys:
-            p.add_argument("--n", help="qubit count; game accepts lists/ranges like 1:5")
-        if "depth" in keys:
-            p.add_argument("--depth", type=int, default=3,
-                           help="layers of the generated random circuit")
-        if "circuit" in keys:
-            p.add_argument("--circuit", help="circuit JSON file (instead of --n/--depth)")
+        p.add_argument("--trials", type=int, default=10000)
+        p.add_argument("--n", help="qubit count; game accepts lists/ranges like 1:5")
+        p.add_argument("--depth", type=int, default=3,
+                       help="layers of the generated random circuit")
+        p.add_argument("--circuit", help="circuit JSON file (instead of --n/--depth)")
 
     p = sub.add_parser("teleport", help="run protocol trials")
-    add_common(p, _TELEPORT_KEYS)
+    add_common(p)
     p.add_argument("--corrections", action="store_true",
                    help="also repair every non-trivial outcome and report fidelities")
 
     p = sub.add_parser("game", help="score strategies over a parameter sweep")
-    add_common(p, _GAME_KEYS)
+    add_common(p)
     p.add_argument("--strategies", default="instant",
                    help=f"comma list of: {_TOKEN_LIST}")
     p.add_argument("--reward", default=1.0, help="points P for a correct answer")
@@ -348,7 +346,7 @@ def main(argv=None) -> int:
         if config_keys is not None and args.config:
             _apply_config(args, config_keys)
         args = parse(args)
-    except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, OSError) as exc:  # JSONDecodeError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:

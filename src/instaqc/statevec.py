@@ -19,13 +19,27 @@ import numpy as np
 
 NORM_TOL = 1e-9
 UNITARY_TOL = 1e-9
-DEFAULT_MAX_QUBITS = 16
+# The register limit: the 2n-qubit resource up to n = 8, 3n-qubit references to n = 5.
+MAX_QUBITS = 16
 
 # Gram-Schmidt completion drops a candidate whose overlap with the span built
 # so far exceeds 1 - 1e-6, i.e. whose residual squared norm is below this.
 _GS_RESIDUAL_MIN = 1e-6
 
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
+
+
+def _check_size(num_qubits: int) -> None:
+    """Reject a register over MAX_QUBITS before its amplitudes are allocated."""
+    if num_qubits > MAX_QUBITS:
+        raise ValueError(f"{num_qubits} qubits exceeds limit {MAX_QUBITS}")
+
+
+def _unitarity_error(mat: np.ndarray) -> float:
+    """max |MM^dag - I|, or inf on a non-finite entry (checked first: no warning)."""
+    if not np.isfinite(mat).all():
+        return np.inf
+    return float(np.abs(mat @ mat.conj().T - np.eye(mat.shape[0])).max())
 
 
 # eq=False on array-holding dataclasses: generated field equality would try
@@ -40,7 +54,7 @@ class StateVector:
     def __post_init__(self):
         if self.num_qubits < 1:
             raise ValueError(f"num_qubits must be >= 1, got {self.num_qubits}")
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = np.array(self.amplitudes, dtype=complex)
         dim = 1 << self.num_qubits
         if amps.shape != (dim,):
             raise ValueError(f"expected {dim} amplitudes, got shape {amps.shape}")
@@ -48,7 +62,6 @@ class StateVector:
         # Negated so a NaN or inf amplitude, which makes norm_sq non-finite, fails.
         if not abs(norm_sq - 1.0) <= NORM_TOL:
             raise ValueError(f"state not normalized: sum |a|^2 = {norm_sq!r}")
-        amps = amps.copy()
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -68,17 +81,13 @@ class GateMatrix:
     def __post_init__(self):
         if self.arity not in (1, 2):
             raise ValueError(f"gate arity must be 1 or 2, got {self.arity}")
-        mat = np.asarray(self.entries, dtype=complex)
+        mat = np.array(self.entries, dtype=complex)
         dim = 1 << self.arity
         if mat.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} matrix, got shape {mat.shape}")
-        # Finiteness first: an inf entry would make the product below warn.
-        if not np.isfinite(mat).all():
-            raise ValueError("matrix not unitary: it has non-finite entries")
-        err = np.abs(mat @ mat.conj().T - np.eye(dim)).max()
+        err = _unitarity_error(mat)
         if not err <= UNITARY_TOL:
             raise ValueError(f"matrix not unitary: max |MM^dag - I| = {err:g}")
-        mat = mat.copy()
         mat.setflags(write=False)
         object.__setattr__(self, "entries", mat)
 
@@ -114,21 +123,28 @@ def basis_state(num_qubits: int, index: int) -> StateVector:
     return StateVector(num_qubits, amps)
 
 
-def tensor_product(a: StateVector, b: StateVector,
-                   max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
+def tensor_product(a: StateVector, b: StateVector) -> StateVector:
     """Combined state with `a` on the lower-indexed qubits, `b` above it."""
     n = a.num_qubits + b.num_qubits
-    if n > max_qubits:
-        raise ValueError(f"tensor product needs {n} qubits, limit is {max_qubits}")
+    _check_size(n)
     return StateVector(n, np.kron(b.amplitudes, a.amplitudes))
 
 
-def _check_targets(num_qubits: int, targets: list[int]) -> None:
+def _check_targets(num_qubits: int, targets) -> None:
     if len(set(targets)) != len(targets):
         raise ValueError(f"duplicate target qubits: {targets}")
     for t in targets:
         if not 0 <= t < num_qubits:
             raise ValueError(f"target qubit {t} out of range for {num_qubits} qubits")
+
+
+def _check_gate_targets(num_qubits: int, gate: GateMatrix, targets) -> tuple[int, ...]:
+    """`targets` as a tuple, checked against the gate's arity and the register."""
+    targets = tuple(targets)
+    if len(targets) != gate.arity:
+        raise ValueError(f"gate of arity {gate.arity} got targets {targets}")
+    _check_targets(num_qubits, targets)
+    return targets
 
 
 def _targets_to_front(state: StateVector, targets: list[int]) -> np.ndarray:
@@ -156,11 +172,8 @@ def _apply_gate_batch(states: np.ndarray, n: int, gate: GateMatrix, targets) -> 
 
 def apply_gate(state: StateVector, gate: GateMatrix, targets) -> StateVector:
     """Apply `gate` to the target qubits, identity on the rest."""
-    targets = list(targets)
-    n, k = state.num_qubits, gate.arity
-    if len(targets) != k:
-        raise ValueError(f"gate of arity {k} got {len(targets)} targets")
-    _check_targets(n, targets)
+    n = state.num_qubits
+    targets = _check_gate_targets(n, gate, targets)
     out = _apply_gate_batch(state.amplitudes[np.newaxis], n, gate, targets)
     return StateVector(n, out[0])
 
@@ -170,9 +183,7 @@ def _validated_basis(basis, k: int) -> np.ndarray:
     dim = 1 << k
     if mat.shape != (dim, dim):
         raise ValueError(f"expected {dim} basis vectors of length {dim}, got shape {mat.shape}")
-    if not np.isfinite(mat).all():  # before the product, as in GateMatrix
-        raise ValueError("basis not orthonormal: it has non-finite entries")
-    err = np.abs(mat @ mat.conj().T - np.eye(dim)).max()
+    err = _unitarity_error(mat)
     if not err <= NORM_TOL:
         raise ValueError(f"basis not orthonormal: max deviation {err:g}")
     return mat
@@ -252,11 +263,9 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     return min(float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2), 1.0)
 
 
-def sample_haar_state(num_qubits: int, rng: np.random.Generator,
-                      max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
+def sample_haar_state(num_qubits: int, rng: np.random.Generator) -> StateVector:
     """Haar-random pure state: normalized vector of iid complex Gaussians."""
-    if num_qubits > max_qubits:
-        raise ValueError(f"{num_qubits} qubits exceeds limit {max_qubits}")
+    _check_size(num_qubits)
     dim = 1 << num_qubits
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return StateVector(num_qubits, z / np.linalg.norm(z))

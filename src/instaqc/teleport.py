@@ -22,11 +22,11 @@ import numpy as np
 
 from .circuit import Circuit, apply_circuit
 from .statevec import (
-    DEFAULT_MAX_QUBITS,
     X,
     Z,
     GateMatrix,
     StateVector,
+    _check_size,
     _draw,
     _targets_to_front,
     fidelity,
@@ -105,6 +105,11 @@ class OfflineResource:
         if self.circuit.num_qubits != self.n:
             raise ValueError("circuit size does not match resource size")
 
+    def _check_input(self, state: StateVector) -> None:
+        if state.num_qubits != self.n:
+            raise ValueError(
+                f"input has {state.num_qubits} qubits, resource expects {self.n}")
+
     @cached_property
     def near_grams(self) -> tuple[np.ndarray, ...]:
         """Read-only Gram matrices of the near block, built on first access.
@@ -133,12 +138,11 @@ class InstantRunResult:
     output_state: StateVector
 
 
-def make_bell_pairs(n: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
+def make_bell_pairs(n: int) -> StateVector:
     """n Bell pairs |Φ⁺⟩, pair i on qubits (i, n+i) of a 2n-qubit register."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if 2 * n > max_qubits:
-        raise ValueError(f"{2 * n} qubits exceeds limit {max_qubits}")
+    _check_size(2 * n)
     amps = np.zeros(1 << (2 * n), dtype=complex)
     scale = 2.0 ** (-n / 2)
     for a in range(1 << n):
@@ -146,11 +150,10 @@ def make_bell_pairs(n: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector
     return StateVector(2 * n, amps)
 
 
-def prepare_offline(circuit: Circuit,
-                    max_qubits: int = DEFAULT_MAX_QUBITS) -> OfflineResource:
+def prepare_offline(circuit: Circuit) -> OfflineResource:
     """Run the circuit on the far halves of fresh Bell pairs."""
     n = circuit.num_qubits
-    joint = apply_circuit(circuit, make_bell_pairs(n, max_qubits), offset=n)
+    joint = apply_circuit(circuit, make_bell_pairs(n), offset=n)
     return OfflineResource(n, joint, circuit)
 
 
@@ -205,9 +208,7 @@ def run_instantaneous(resource: OfflineResource, input_state: StateVector,
     block is read once, for the output.
     """
     n = resource.n
-    if input_state.num_qubits != n:
-        raise ValueError(
-            f"input has {input_state.num_qubits} qubits, resource expects {n}")
+    resource._check_input(input_state)
     w = input_state.amplitudes
     bits = []
     for gram in resource.near_grams:
@@ -234,10 +235,8 @@ def force_outcome(resource: OfflineResource, input_state: StateVector,
     n = resource.n
     if len(outcome.bits) != n:
         raise ValueError(f"outcome has {len(outcome.bits)} pairs, expected {n}")
-    if input_state.num_qubits != n:
-        raise ValueError(
-            f"input has {input_state.num_qubits} qubits, resource expects {n}")
-    joint = tensor_product(input_state, resource.joint_state, max_qubits=3 * n)
+    resource._check_input(input_state)
+    joint = tensor_product(input_state, resource.joint_state)
     prob, far = project_out(joint, range(2 * n),
                             _pair_outcome_vector(n, outcome.bits))
     return prob, InstantRunResult(outcome, outcome.all_trivial(), far)
@@ -247,10 +246,8 @@ def outcome_distribution(resource: OfflineResource,
                          input_state: StateVector) -> np.ndarray:
     """Exact probability of every outcome, indexed by BsmOutcome.code."""
     n = resource.n
-    if input_state.num_qubits != n:
-        raise ValueError(
-            f"input has {input_state.num_qubits} qubits, resource expects {n}")
-    joint = tensor_product(input_state, resource.joint_state, max_qubits=3 * n)
+    resource._check_input(input_state)
+    joint = tensor_product(input_state, resource.joint_state)
     mat = _targets_to_front(joint, list(range(2 * n)))
     probs = np.empty(4**n)
     for code in range(4**n):

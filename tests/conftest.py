@@ -1,4 +1,7 @@
-"""Shared test helpers: statistical tolerance checks and the acceptance log."""
+"""Shared test helpers: statistical tolerance checks, allocation peaks and the
+acceptance log."""
+import tracemalloc
+
 import numpy as np
 
 # one PASS/FAIL line per acceptance criterion, echoed after the run
@@ -10,6 +13,16 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LOG:
             terminalreporter.write_line(line)
+
+
+def traced_peak(fn):
+    """Peak bytes traced while fn() runs (numpy arrays included)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def mean_and_3sigma(values):

@@ -87,7 +87,7 @@ RESOURCES = {"circuit": circuit_resource, "haar": haar_resource}
 
 def _forced_codes_match_exact_reference(resource, psi):
     n = resource.n
-    joint = tensor_product(psi, resource.joint_state, max_qubits=3 * n)
+    joint = tensor_product(psi, resource.joint_state)
     dist = outcome_distribution(resource, psi)
     for code in range(4**n):
         _, expected = force_outcome(resource, psi, BsmOutcome.from_code(n, code))
@@ -142,7 +142,7 @@ def test_run_instantaneous_matches_bell_measure_pairs(kind, n):
     resource = RESOURCES[kind](n, states)
     for seed in range(30):
         psi = sample_haar_state(n, states)
-        joint = tensor_product(psi, resource.joint_state, max_qubits=3 * n)
+        joint = tensor_product(psi, resource.joint_state)
         fast_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         result = run_instantaneous(resource, psi, fast_rng)
         outcome, far = bell_measure_pairs(joint, ref_rng)

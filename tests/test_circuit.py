@@ -10,7 +10,6 @@ from instaqc.circuit import (
     apply_circuit,
     circuit_from_dict,
     circuit_to_dict,
-    circuit_unitary,
     inverse,
     load_circuit,
     random_circuit,
@@ -56,6 +55,11 @@ def test_circuit_validates_targets():
         Circuit(1, ((CNOT, (0, 1)),))
     with pytest.raises(ValueError, match="arity"):
         Circuit(2, ((X, (0, 1)),))
+
+
+def test_circuit_rejects_duplicate_targets_at_construction():
+    with pytest.raises(ValueError, match="duplicate"):
+        Circuit(2, ((CNOT, (0, 0)),))
 
 
 def test_inverse_of_self_inverse_gates():
@@ -147,7 +151,7 @@ def test_random_circuit_negative_depth():
 
 def test_circuit_unitary_matches_kron():
     circ = Circuit(2, ((H, (0,)),))
-    assert np.allclose(circuit_unitary(circ), np.kron(np.eye(2), H.entries))
+    assert np.allclose(circ.unitary, np.kron(np.eye(2), H.entries))
 
 
 def test_json_round_trip_named_gates():

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import instaqc
+from conftest import traced_peak
 from instaqc.circuit import Circuit, random_circuit, save_circuit
-from instaqc.cli import _fmt, _json_dumps, _parse_strategy_token, main
+from instaqc.cli import _fmt, _json_dumps, _parse_int_list, _parse_strategy_token, main
 from instaqc.statevec import GateMatrix
 from instaqc.strategies import STRATEGIES
 from instaqc.timeline import TimelineReport
@@ -74,6 +75,49 @@ def test_oversized_circuit_file_rejected(tmp_path, capsys):
         code, _, err = run_cli(capsys, command, "--circuit", str(path))
         assert code == 2
         assert "n must be <= 8" in err
+
+
+def test_n_range_bounds_checked_before_expansion(capsys):
+    # expanded first, this range is a 200000-entry list (~7 MiB)
+    def run():
+        assert run_cli(capsys, "game", "--n", "1:200000") == (
+            2, "", "config error: n must be <= 8, got 200000\n")
+    assert traced_peak(run) < 1 << 20
+
+
+def test_n_range_expands_inclusively():
+    assert _parse_int_list("1:4") == [1, 2, 3, 4]
+    assert _parse_int_list("1:2,5") == [1, 2, 5]
+
+
+_GATE = {"name": "H", "targets": [0]}
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"gates": [_GATE]}, "num_qubits"),
+    ({"num_qubits": 1}, "gates"),
+    ({"num_qubits": 1, "gates": [{"name": "H"}]}, "targets"),
+    ({"num_qubits": 1, "gates": [{"targets": [0]}]}, "matrix"),
+])
+@pytest.mark.parametrize("command", ["teleport", "game"])
+def test_circuit_file_missing_key_is_bad_input(tmp_path, capsys, command, doc, key):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, command, "--circuit", str(path), "--trials", "5")
+    assert code == 2
+    assert out == ""
+    assert repr(key) in err
+
+
+@pytest.mark.parametrize("command", ["teleport", "game"])
+def test_circuit_file_duplicate_targets_is_bad_input(tmp_path, capsys, command):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(
+        {"num_qubits": 2, "gates": [{"name": "CNOT", "targets": [1, 1]}]}))
+    code, out, err = run_cli(capsys, command, "--circuit", str(path), "--trials", "5")
+    assert code == 2
+    assert out == ""
+    assert "duplicate" in err
 
 
 def test_teleport_requires_some_circuit_source(capsys):

@@ -15,7 +15,6 @@ from instaqc.circuit import (
     Circuit,
     apply_circuit,
     circuit_from_dict,
-    circuit_unitary,
     random_circuit,
 )
 from instaqc.statevec import (
@@ -106,7 +105,7 @@ def test_unitary_columns_are_basis_images(n):
     ref = np.column_stack([
         _reference_apply_circuit(circ, StateVector(n, np.eye(dim)[j]))
         for j in range(dim)])
-    assert np.abs(circuit_unitary(circ) - ref).max() <= TOL
+    assert np.abs(circ.unitary - ref).max() <= TOL
 
 
 def test_asymmetric_two_qubit_gate_orientation():
@@ -130,10 +129,6 @@ def test_unitary_is_cached_and_read_only():
     assert not first.flags.writeable
     with pytest.raises(ValueError):
         first[0, 0] = 2.0
-    copy = circuit_unitary(circ)
-    assert copy is not first and copy.flags.writeable
-    copy[0, 0] = 2.0
-    assert circ.unitary[0, 0] != 2.0
 
 
 def test_drifting_gates_fail_the_unitarity_check():

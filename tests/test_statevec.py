@@ -3,10 +3,11 @@ import numpy as np
 import pytest
 from scipy.stats import unitary_group
 
-from conftest import assert_within_3sigma, rate_within_3sigma
+from conftest import assert_within_3sigma, rate_within_3sigma, traced_peak
 from instaqc.statevec import (
     CNOT,
     H,
+    MAX_QUBITS,
     NAMED_GATES,
     S,
     T,
@@ -24,6 +25,7 @@ from instaqc.statevec import (
     project_out,
     sample_haar_state,
     tensor_product,
+    _unitarity_error,
 )
 
 
@@ -74,6 +76,16 @@ def test_gate_rejects_non_finite(bad):
         GateMatrix(1, np.full((2, 2), bad))
     with pytest.raises(ValueError, match="not unitary"):
         GateMatrix(2, np.diag([1.0, 1.0, 1.0, bad]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_unitarity_error_is_inf_on_non_finite_entries(bad):
+    assert _unitarity_error(np.diag([1.0, bad])) == np.inf
+
+
+def test_unitarity_error_measures_the_deviation():
+    assert _unitarity_error(np.eye(4)) == 0.0
+    assert abs(_unitarity_error(np.diag([1.0, 2.0])) - 3.0) < 1e-15
 
 
 def test_named_gates_are_unitary_and_registered():
@@ -174,9 +186,14 @@ def test_tensor_product_norm():
 
 
 def test_tensor_product_size_limit():
-    a = basis_state(1, 0)
-    with pytest.raises(ValueError, match="limit"):
-        tensor_product(a, a, max_qubits=1)
+    # one qubit over the limit: 2 MiB of amplitudes if it were built
+    a, b = basis_state(MAX_QUBITS // 2 + 1, 0), basis_state(MAX_QUBITS // 2, 0)
+
+    def build():
+        with pytest.raises(ValueError, match="limit"):
+            tensor_product(a, b)
+
+    assert traced_peak(build) < (16 << (MAX_QUBITS + 1)) // 8
 
 
 def test_outcome_probabilities_computational():

@@ -7,9 +7,10 @@ constant, so a convention change anywhere upstream fails loudly here.
 import numpy as np
 import pytest
 
-from conftest import assert_within_3sigma, rate_within_3sigma
-from instaqc.circuit import Circuit, apply_circuit, circuit_unitary, random_circuit
+from conftest import assert_within_3sigma, rate_within_3sigma, traced_peak
+from instaqc.circuit import Circuit, apply_circuit, random_circuit
 from instaqc.statevec import (
+    MAX_QUBITS,
     X,
     Z,
     GateMatrix,
@@ -74,8 +75,13 @@ def test_make_bell_pairs_near_block_maximally_mixed():
 
 
 def test_make_bell_pairs_size_limit():
-    with pytest.raises(ValueError, match="limit"):
-        make_bell_pairs(3, max_qubits=4)
+    n = MAX_QUBITS // 2 + 1  # 2n qubits: 4 MiB of amplitudes if built
+
+    def build():
+        with pytest.raises(ValueError, match="limit"):
+            make_bell_pairs(n)
+
+    assert traced_peak(build) < (16 << (2 * n)) // 16
 
 
 def test_prepare_offline_identity_keeps_pair():
@@ -264,7 +270,7 @@ def test_repair_permutation_matches_corrections_gate_by_gate(n):
     applying CORRECTIONS gate by gate, and running it again."""
     rng = np.random.default_rng(75 + n)
     circ = random_circuit(n, 3, rng)
-    u = circuit_unitary(circ)
+    u = circ.unitary
     output = sample_haar_state(n, rng)
     unrun = StateVector(n, u.conj().T @ output.amplitudes)
     for code in range(4**n):
@@ -289,7 +295,7 @@ def test_pure_z_circuit_commutes_with_z_corrections():
     circ = Circuit(2, ((_z_rotation(0.7), (0,)), (_z_rotation(-1.3), (1,)),
                        (_z_rotation(2.1), (0,))))
     # direct matrix check: Z x Z commutes with the circuit's unitary
-    u = circuit_unitary(circ)
+    u = circ.unitary
     zz = np.kron(Z.entries, Z.entries)
     assert np.abs(u @ zz - zz @ u).max() < 1e-12
 
