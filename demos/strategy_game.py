@@ -46,7 +46,7 @@ kinds = [
 print(f"{'strategy':<18} {'empirical':>12} {'analytic':>12} "
       f"{'answered':>9} {'correct':>8}")
 for kind in kinds:
-    report = run_game(kind, n, circuit, params, trials, rng)
+    report = run_game(kind, circuit, params, trials, rng)
     print(f"{kind.label:<18} {report.empirical_mean_score:>12.5f} "
           f"{report.analytic_expected_score:>12.5f} "
           f"{report.answered_count:>9} {report.correct_O_count:>8}")

@@ -125,8 +125,13 @@ def circuit_from_dict(doc: dict) -> Circuit:
     gates: list[Gate] = []
     try:
         for entry in doc["gates"]:
-            targets = tuple(entry["targets"])
+            # type() is int, not isinstance: a JSON true must not pass as 1
+            targets = entry["targets"]
+            if type(targets) is not list or any(type(t) is not int for t in targets):
+                raise ValueError(f"targets must be a list of integers, got {targets!r}")
             if "name" in entry:
+                if "matrix" in entry:
+                    raise ValueError("a gate takes 'name' or 'matrix', not both")
                 name = entry["name"]
                 if name not in NAMED_GATES:
                     raise ValueError(f"unknown gate name {name!r}")
@@ -137,10 +142,12 @@ def circuit_from_dict(doc: dict) -> Circuit:
                 if arity is None or mat.shape[0] != mat.shape[1]:
                     raise ValueError(f"matrix shape {mat.shape} is not 2x2 or 4x4")
                 gate = GateMatrix(arity, mat)
-            gates.append((gate, targets))
+            gates.append((gate, tuple(targets)))
         num_qubits = doc["num_qubits"]
     except KeyError as exc:
         raise ValueError(f"circuit has no key {exc}") from None
+    if type(num_qubits) is not int:
+        raise ValueError(f"num_qubits must be an integer, got {num_qubits!r}")
     return Circuit(num_qubits, tuple(gates))
 
 

@@ -94,48 +94,59 @@ def _check_n(values) -> None:
         raise ValueError(f"n must be <= {MAX_N}, got {max(values)}")
 
 
-def _parse_int_list(value) -> list[int]:
+def _number(key: str, text, kind=int):
+    """A flag's int (or float) value, from argparse or from config text."""
+    try:
+        return kind(text)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} must parse as {kind.__name__}, got {text!r}") from None
+
+
+def _parse_int_list(value: str) -> list[int]:
     """Comma-separated ints with inclusive a:b ranges, e.g. '1:3,5' -> [1,2,3,5].
-    JSON configs may supply a ready-made list instead.  Each range's bounds
-    are checked as sizes before it is expanded."""
-    if isinstance(value, (list, tuple)):
-        return [int(v) for v in value]
+    Each range's bounds are checked as sizes before it is expanded."""
     values: list[int] = []
-    for part in str(value).split(","):
+    for part in value.split(","):
         if ":" in part:
-            lo, hi = (int(v) for v in part.split(":", 1))
+            lo, hi = (_number("n", v) for v in part.split(":", 1))
             _check_n((lo, hi))
             values.extend(range(lo, hi + 1))
         else:
-            values.append(int(part))
+            values.append(_number("n", part))
     return values
 
 
-def _parse_float_list(value) -> list[float]:
-    if isinstance(value, (list, tuple)):
-        return [float(v) for v in value]
-    return [float(part) for part in str(value).split(",")]
-
-
-def _apply_config(args: argparse.Namespace, allowed: set[str]) -> None:
-    """Overlay --config file values onto parsed flags (file wins)."""
+def _apply_config(args: argparse.Namespace) -> None:
+    """Overlay --config file values onto parsed flags (file wins).  A switch
+    takes a JSON boolean; any other value becomes the text its flag would
+    carry, a list joined with commas, and is parsed as that text."""
     with open(args.config) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("config file must hold a JSON object")
-    unknown = set(doc) - allowed
+    unknown = set(doc) - (set(vars(args)) - {"command", "config"})
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     for key, value in doc.items():
+        if isinstance(getattr(args, key), bool):  # a switch
+            if not isinstance(value, bool):
+                raise ValueError(f"{key} is a switch: true or false, got {value!r}")
+        elif value is not None:
+            items = value if isinstance(value, list) else [value]
+            if not all(type(item) in (str, int, float) for item in items):
+                raise ValueError(
+                    f"{key} takes a string, a number or a list of them, got {value!r}")
+            value = ",".join(map(str, items))
         setattr(args, key, value)
 
 
 def _check_common(args: argparse.Namespace) -> None:
-    seed = int(args.seed)
-    if not 0 <= seed < 2**64:
+    if args.config:
+        _apply_config(args)
+    args.seed = _number("seed", args.seed)
+    if not 0 <= args.seed < 2**64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {args.seed}")
-    args.seed = seed
-    args.trials = int(args.trials)
+    args.trials = _number("trials", args.trials)
     if args.trials < 1:
         raise ValueError(f"trials must be >= 1, got {args.trials}")
 
@@ -146,7 +157,7 @@ def _parse_sizes(args: argparse.Namespace, ns: list[int] | None) -> list[int]:
     A circuit file is loaded and compiled here, so one that is not unitary
     is rejected as bad input before any run.
     """
-    args.depth = int(args.depth)
+    args.depth = _number("depth", args.depth)
     if args.depth < 0:
         raise ValueError(f"depth must be >= 0, got {args.depth}")
     if args.circuit:
@@ -171,7 +182,7 @@ def _parse_sizes(args: argparse.Namespace, ns: list[int] | None) -> list[int]:
 
 def _parse_teleport(args):
     _check_common(args)
-    args.n, = _parse_sizes(args, None if args.n is None else [int(args.n)])
+    args.n, = _parse_sizes(args, None if args.n is None else [_number("n", args.n)])
     return args
 
 
@@ -232,19 +243,16 @@ def _run_teleport(args) -> str:
 
 def _parse_game(args):
     _check_common(args)
-    tokens = (args.strategies if isinstance(args.strategies, (list, tuple))
-              else str(args.strategies).split(","))
-    tokens = [str(t).strip() for t in tokens if str(t).strip()]
+    tokens = [t.strip() for t in args.strategies.split(",") if t.strip()]
     if not tokens:
         raise ValueError("strategy list is empty")
     args.kinds = [_parse_strategy_token(t) for t in tokens]
     args.ns = _parse_sizes(args, None if args.n is None else _parse_int_list(args.n))
-    args.penalties = _parse_float_list(args.penalty)
-    args.reward = float(args.reward)
-    args.cost = float(args.cost)
-    # Every point's ScoreParams, built early to fail before any run
-    for pen in args.penalties:
-        ScoreParams(args.reward, pen, args.cost)
+    # One ScoreParams per penalty, built here to fail before any run
+    reward = _number("reward", args.reward, float)
+    cost = _number("cost", args.cost, float)
+    args.params = [ScoreParams(reward, _number("penalty", pen, float), cost)
+                   for pen in args.penalty.split(",")]
     return args
 
 
@@ -255,13 +263,12 @@ def _run_game(args) -> str:
     else:
         circuits = {n: random_circuit(n, args.depth, _stream(args.seed, 0, n))
                     for n in ns}
-    points = [(kind, n, pen) for kind in args.kinds for n in ns
-              for pen in args.penalties]
+    points = [(kind, n, params) for kind in args.kinds for n in ns
+              for params in args.params]
     reports = []
-    for k, (kind, n, pen) in enumerate(points):
-        params = ScoreParams(args.reward, pen, args.cost)
+    for k, (kind, n, params) in enumerate(points):
         rng = _stream(args.seed, 1, k)
-        reports.append(run_game(kind, n, circuits[n], params, args.trials, rng))
+        reports.append(run_game(kind, circuits[n], params, args.trials, rng))
     rows = [game_report_to_dict(r) for r in reports]
     return _csv(rows) if args.csv else _json_dumps(rows)
 
@@ -284,12 +291,6 @@ def _run_timeline(args) -> str:
 
 
 # --- wiring -----------------------------------------------------------------
-
-_TELEPORT_KEYS = {"seed", "trials", "n", "depth", "circuit", "out", "csv",
-                  "corrections"}
-_GAME_KEYS = {"seed", "trials", "n", "depth", "circuit", "out", "csv",
-              "strategies", "reward", "penalty", "cost"}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -333,18 +334,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _COMMANDS = {
-    "teleport": (_parse_teleport, _run_teleport, _TELEPORT_KEYS),
-    "game": (_parse_game, _run_game, _GAME_KEYS),
-    "timeline": (_parse_timeline, _run_timeline, None),
+    "teleport": (_parse_teleport, _run_teleport),
+    "game": (_parse_game, _run_game),
+    "timeline": (_parse_timeline, _run_timeline),
 }
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    parse, run, config_keys = _COMMANDS[args.command]
+    parse, run = _COMMANDS[args.command]
     try:
-        if config_keys is not None and args.config:
-            _apply_config(args, config_keys)
         args = parse(args)
     except (ValueError, TypeError, OSError) as exc:  # JSONDecodeError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)

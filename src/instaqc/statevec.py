@@ -65,10 +65,6 @@ class StateVector:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
-    @property
-    def dim(self) -> int:
-        return 1 << self.num_qubits
-
 
 @dataclass(frozen=True, eq=False)
 class GateMatrix:
@@ -206,7 +202,8 @@ def _draw(probs: np.ndarray, rng: np.random.Generator) -> int:
     """Sample an outcome index from unnormalized probabilities.
 
     The one sampling rule of the package: one rng.random() u, and the first
-    index whose normalized cumulative probability exceeds u.
+    index whose normalized cumulative probability exceeds u.  Two outcomes
+    [p, 1 - p] sum to exactly 1 in floating point, so there it is u < p.
     """
     cum = np.cumsum(probs / probs.sum())
     return min(int(np.searchsorted(cum, rng.random(), side="right")), len(probs) - 1)

@@ -17,7 +17,6 @@ from .circuit import Circuit, apply_circuit
 from .statevec import (
     _GS_RESIDUAL_MIN,
     StateVector,
-    _draw,
     basis_state,
     project_out,
     sample_haar_state,
@@ -82,7 +81,6 @@ class GameReport:
     trials: int
     answered_count: int
     correct_O_count: int
-    empirical_mean_score: float
     analytic_expected_score: float
     total_cost: float
 
@@ -91,6 +89,13 @@ class GameReport:
             raise ValueError(
                 f"inconsistent counts: {self.correct_O_count} correct, "
                 f"{self.answered_count} answered, {self.trials} trials")
+
+    @property
+    def empirical_mean_score(self) -> float:
+        """Mean per-trial score of the counts: +P per correct, -N per wrong."""
+        wrong = self.answered_count - self.correct_O_count
+        return (self.params.reward_P * self.correct_O_count
+                - self.params.penalty_N * wrong) / self.trials
 
 
 def game_report_to_dict(report: GameReport) -> dict:
@@ -111,7 +116,7 @@ def game_report_to_dict(report: GameReport) -> dict:
     }
 
 
-def classical_basis_strategy(n: int, circuit: Circuit, actual_input_index: int,
+def classical_basis_strategy(circuit: Circuit, actual_input_index: int,
                              precomputed_guess_index: int):
     """Distinguish a known-basis input by measurement; answer only on a match.
 
@@ -121,6 +126,7 @@ def classical_basis_strategy(n: int, circuit: Circuit, actual_input_index: int,
     so the measurement is the index comparison and the answer (when given)
     is always right.
     """
+    n = circuit.num_qubits
     dim = 1 << n
     if not 0 <= actual_input_index < dim:
         raise ValueError(f"input index {actual_input_index} out of range")
@@ -131,27 +137,20 @@ def classical_basis_strategy(n: int, circuit: Circuit, actual_input_index: int,
     return True, apply_circuit(circuit, basis_state(n, precomputed_guess_index))
 
 
-def rsp_strategy(n: int, circuit: Circuit, known_input: StateVector,
-                 rng: np.random.Generator, resource: OfflineResource | None = None):
+def rsp_strategy(resource: OfflineResource, known_input: StateVector,
+                 rng: np.random.Generator):
     """Steer the precomputed output onto a known input by measuring the near block.
 
     Measures the near block in a basis whose first element is the complex
     conjugate of the input.  Only that outcome matters: projecting onto it
     gives its probability (2^-n for every input) and the far block, which
-    then holds the circuit output, and one draw decides whether it fired.
-    Pass `resource` to reuse one precomputation across trials.
+    then holds the circuit output, and one draw, u < probability, decides
+    whether it fired.
     """
-    if known_input.num_qubits != n:
-        raise ValueError(f"input has {known_input.num_qubits} qubits, expected {n}")
-    if resource is None:
-        resource = prepare_offline(circuit)
-    elif resource.n != n:
-        raise ValueError(f"resource holds {resource.n}-qubit pairs, expected {n}")
-    prob, far = project_out(resource.joint_state, range(n),
+    resource._check_input(known_input)
+    prob, far = project_out(resource.joint_state, range(resource.n),
                             known_input.amplitudes.conj())
-    if _draw(np.array([prob, 1.0 - prob]), rng) != 0:
-        return False, None
-    return True, far
+    return (True, far) if rng.random() < prob else (False, None)
 
 
 def approximate_output(correct: StateVector, fidelity_F: float) -> StateVector:
@@ -197,14 +196,13 @@ def _classical(kind, circuit, resource, rng):
     n = circuit.num_qubits
     actual = int(rng.integers(1 << n))
     guess = int(rng.integers(1 << n))
-    ok, output = classical_basis_strategy(n, circuit, actual, guess)
+    ok, output = classical_basis_strategy(circuit, actual, guess)
     return (output, output) if ok else None  # ok only when actual == guess
 
 
 def _steer(kind, circuit, resource, rng):
-    n = circuit.num_qubits
-    known = sample_haar_state(n, rng)
-    ok, output = rsp_strategy(n, circuit, known, rng, resource=resource)
+    known = sample_haar_state(circuit.num_qubits, rng)
+    ok, output = rsp_strategy(resource, known, rng)
     return (output, apply_circuit(circuit, known)) if ok else None
 
 
@@ -265,41 +263,33 @@ def expected_score(kind: StrategyKind, n: int, params: ScoreParams) -> float:
     return STRATEGIES[kind.name].score(kind, n, params.reward_P, params.penalty_N)
 
 
-def run_game(kind: StrategyKind, n: int, circuit: Circuit, params: ScoreParams,
+def run_game(kind: StrategyKind, circuit: Circuit, params: ScoreParams,
              trials: int, rng: np.random.Generator) -> GameReport:
-    """Play `trials` independent rounds of one strategy and tally the score.
+    """Play `trials` independent rounds of one strategy and count the answers.
 
     Every answer is graded by the check measurement against the true output.
     """
-    if circuit.num_qubits != n:
-        raise ValueError(f"circuit has {circuit.num_qubits} qubits, game needs {n}")
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     entry = STRATEGIES[kind.name]
     resource = prepare_offline(circuit) if entry.needs_resource else None
 
     answered = correct = 0
-    score = 0.0
     for _ in range(trials):
         drawn = entry.sample(kind, circuit, resource, rng)
         if drawn is None:
             continue
         answered += 1
-        if check_measurement(*drawn, rng)[0]:
-            correct += 1
-            score += params.reward_P
-        else:
-            score -= params.penalty_N
+        correct += check_measurement(*drawn, rng)[0]
 
     return GameReport(
         strategy=kind.label,
-        n=n,
+        n=circuit.num_qubits,
         params=params,
         trials=trials,
         answered_count=answered,
         correct_O_count=correct,
-        empirical_mean_score=score / trials,
-        analytic_expected_score=expected_score(kind, n, params),
+        analytic_expected_score=expected_score(kind, circuit.num_qubits, params),
         total_cost=params.cost_C * trials if entry.consumes_run else 0.0,
     )
 

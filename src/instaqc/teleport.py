@@ -93,17 +93,17 @@ class BsmOutcome:
 class OfflineResource:
     """Entangled 2n-qubit state with the circuit already run on the far block."""
 
-    n: int
     joint_state: StateVector
-    circuit: Circuit
 
     def __post_init__(self):
-        if self.joint_state.num_qubits != 2 * self.n:
-            raise ValueError(
-                f"joint state has {self.joint_state.num_qubits} qubits, "
-                f"expected {2 * self.n}")
-        if self.circuit.num_qubits != self.n:
-            raise ValueError("circuit size does not match resource size")
+        if self.joint_state.num_qubits % 2:
+            raise ValueError("joint state needs an even qubit count, "
+                             f"got {self.joint_state.num_qubits}")
+
+    @property
+    def n(self) -> int:
+        """Pairs held: the near and far blocks are n qubits each."""
+        return self.joint_state.num_qubits // 2
 
     def _check_input(self, state: StateVector) -> None:
         if state.num_qubits != self.n:
@@ -134,8 +134,12 @@ class OfflineResource:
 @dataclass(frozen=True, eq=False)
 class InstantRunResult:
     outcome: BsmOutcome
-    success: bool
     output_state: StateVector
+
+    @property
+    def success(self) -> bool:
+        """The output is ready as it stands: every pair read Φ⁺."""
+        return self.outcome.all_trivial()
 
 
 def make_bell_pairs(n: int) -> StateVector:
@@ -153,8 +157,7 @@ def make_bell_pairs(n: int) -> StateVector:
 def prepare_offline(circuit: Circuit) -> OfflineResource:
     """Run the circuit on the far halves of fresh Bell pairs."""
     n = circuit.num_qubits
-    joint = apply_circuit(circuit, make_bell_pairs(n), offset=n)
-    return OfflineResource(n, joint, circuit)
+    return OfflineResource(apply_circuit(circuit, make_bell_pairs(n), offset=n))
 
 
 def _pair_outcome_vector(n: int, bits) -> np.ndarray:
@@ -220,8 +223,7 @@ def run_instantaneous(resource: OfflineResource, input_state: StateVector,
         w = c[b]
     side = 1 << n
     far = resource.joint_state.amplitudes.reshape(side, side) @ w[:, 0]
-    outcome = BsmOutcome(tuple(bits))
-    return InstantRunResult(outcome, outcome.all_trivial(),
+    return InstantRunResult(BsmOutcome(tuple(bits)),
                             StateVector(n, far / np.sqrt(probs[b])))
 
 
@@ -239,7 +241,7 @@ def force_outcome(resource: OfflineResource, input_state: StateVector,
     joint = tensor_product(input_state, resource.joint_state)
     prob, far = project_out(joint, range(2 * n),
                             _pair_outcome_vector(n, outcome.bits))
-    return prob, InstantRunResult(outcome, outcome.all_trivial(), far)
+    return prob, InstantRunResult(outcome, far)
 
 
 def outcome_distribution(resource: OfflineResource,
@@ -293,7 +295,7 @@ def check_measurement(output: StateVector, correct: StateVector,
     """Measure `output` in any orthonormal basis whose first element is `correct`.
 
     Only "first element or not" matters, and that is Bernoulli(|<correct|output>|²),
-    so it is one draw.  Returns (is_O, probability_O).
+    so it is one draw, u < p.  Returns (is_O, probability_O).
     """
     prob = fidelity(output, correct)
-    return _draw(np.array([prob, 1.0 - prob]), rng) == 0, prob
+    return rng.random() < prob, prob

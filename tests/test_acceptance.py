@@ -131,7 +131,7 @@ def test_criterion_04_score_formulas():
     for kind, seed in ((INSTANTANEOUS, 41), (NO_ANSWER, 42), (RANDOM_GUESS, 43)):
         rng = np.random.default_rng(seed)
         circuit = random_circuit(2, 3, rng)
-        report = run_game(kind, 2, circuit, params, trials, rng)
+        report = run_game(kind, circuit, params, trials, rng)
         expected = expected_score(kind, 2, params)
         if kind is NO_ANSWER:  # zero-variance strategy: must be exact
             ok = report.empirical_mean_score == expected == 0.0
@@ -154,7 +154,7 @@ def test_criterion_05_never_wrong():
                        (REMOTE_STATE_PREP, 53)):
         rng = np.random.default_rng(seed)
         circuit = random_circuit(2, 3, rng)
-        report = run_game(kind, 2, circuit, ScoreParams(1.0, 10.0), trials, rng)
+        report = run_game(kind, circuit, ScoreParams(1.0, 10.0), trials, rng)
         rows.append((kind.name, report.answered_count, report.correct_O_count))
     ok = all(answered == correct for _, answered, correct in rows)
     _verdict(ok, "criterion 5: zero wrong answers in 1e5 trials -- " + "; ".join(
@@ -167,7 +167,7 @@ def test_criterion_06_hit_rates_2_to_minus_n():
     for n in (1, 2, 3):
         rng = np.random.default_rng(600 + n)
         circuit = random_circuit(n, 2, rng)
-        report = run_game(CLASSICAL_BASIS, n, circuit, ScoreParams(1.0, 0.0),
+        report = run_game(CLASSICAL_BASIS, circuit, ScoreParams(1.0, 0.0),
                           100000, rng)
         rate, band = rate_band_3sigma(report.answered_count, report.trials)
         checks.append((f"classical n={n}", rate, band, abs(rate - 2.0**-n) <= band))
@@ -175,7 +175,7 @@ def test_criterion_06_hit_rates_2_to_minus_n():
         resource = prepare_offline(circuit)
         for i in range(10):
             known = sample_haar_state(n, rng)
-            hits = sum(rsp_strategy(n, circuit, known, rng, resource=resource)[0]
+            hits = sum(rsp_strategy(resource, known, rng)[0]
                        for _ in range(10000))
             rate, band = rate_band_3sigma(hits, 10000)
             checks.append((f"rsp n={n} input {i}", rate, band,

@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from instaqc.circuit import Circuit, random_circuit
+from instaqc.circuit import random_circuit
 from instaqc.statevec import (
     fidelity,
     measure_in_basis,
@@ -75,7 +75,7 @@ def sequential_bell_measure(joint, rng):
 
 def haar_resource(n: int, rng) -> OfflineResource:
     """A resource whose joint state is Haar-random rather than prepared."""
-    return OfflineResource(n, sample_haar_state(2 * n, rng), Circuit(n))
+    return OfflineResource(sample_haar_state(2 * n, rng))
 
 
 def circuit_resource(n: int, rng) -> OfflineResource:

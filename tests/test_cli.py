@@ -357,6 +357,73 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert "telepathy" in err
 
 
+@pytest.mark.parametrize("command, doc, key", [
+    ("teleport", {"seed": 1.7}, "seed"),
+    ("teleport", {"seed": -0.5}, "seed"),
+    ("teleport", {"trials": True}, "trials"),
+    ("teleport", {"n": 2.9}, "n"),
+    ("teleport", {"depth": 2.5}, "depth"),
+    ("teleport", {"csv": "no"}, "csv"),
+    ("teleport", {"corrections": 1}, "corrections"),
+    ("game", {"n": [1, True]}, "n"),
+    ("game", {"reward": True, "n": 1}, "reward"),
+    ("game", {"penalty": {"N": 1}, "n": 1}, "penalty"),
+])
+def test_config_values_parse_like_flag_text(tmp_path, capsys, command, doc, key):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, command, "--n", "1", "--trials", "5",
+                             "--config", str(config))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"config error: {key} ")
+
+
+def test_list_config_prints_what_the_flags_print(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"n": [1, 2], "penalty": [0, 10],
+                                  "strategies": ["instant", "rsp"], "csv": True}))
+    common = ("game", "--trials", "40", "--seed", "3")
+    code, from_config, _ = run_cli(capsys, *common, "--config", str(config))
+    assert code == 0
+    code, from_flags, _ = run_cli(capsys, *common, "--n", "1,2", "--penalty", "0,10",
+                                  "--strategies", "instant,rsp", "--csv")
+    assert code == 0
+    assert from_config == from_flags
+
+
+def test_config_switch_false_overrides_flag(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"csv": False, "circuit": None}))
+    code, out, _ = run_cli(capsys, "teleport", "--n", "1", "--trials", "5", "--csv",
+                           "--config", str(config))
+    assert code == 0
+    assert json.loads(out)["n"] == 1
+
+
+_H = {"name": "H", "targets": [0]}
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"num_qubits": True, "gates": []}, "num_qubits"),
+    ({"num_qubits": 1.0, "gates": []}, "num_qubits"),
+    ({"num_qubits": "1", "gates": []}, "num_qubits"),
+    ({"num_qubits": 1, "gates": [{"name": "H", "targets": [True]}]}, "targets"),
+    ({"num_qubits": 1, "gates": [{"name": "H", "targets": [0.5]}]}, "targets"),
+    ({"num_qubits": 1, "gates": [{"name": "H", "targets": 0}]}, "targets"),
+    ({"num_qubits": 1, "gates": [{**_H, "matrix": [[[1, 0], [0, 0]],
+                                                  [[0, 0], [1, 0]]]}]}, "matrix"),
+])
+@pytest.mark.parametrize("command", ["teleport", "game"])
+def test_circuit_file_json_types(tmp_path, capsys, command, doc, field):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, command, "--circuit", str(path), "--trials", "5")
+    assert code == 2
+    assert out == ""
+    assert field in err
+
+
 def _feed_stdin(monkeypatch, doc):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
 
@@ -404,6 +471,17 @@ def test_timeline_rejects_non_finite_field(monkeypatch, capsys, flags):
     assert code == 2
     assert out == ""
     assert "alice_duration" in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("t1", True), ("t2", "10"), ("bob_start", None), ("bsm_duration", [0.5]),
+])
+def test_timeline_fields_must_be_numbers(monkeypatch, capsys, field, value):
+    _feed_stdin(monkeypatch, {**TIMELINE, field: value})
+    code, out, err = run_cli(capsys, "timeline")
+    assert code == 2
+    assert out == ""
+    assert repr(field) in err
 
 
 def test_timeline_rejects_bad_json(monkeypatch, capsys):

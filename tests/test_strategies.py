@@ -69,9 +69,9 @@ def test_score_params_rejects_non_finite(field, bad):
 def test_game_report_count_invariant():
     params = ScoreParams(1.0, 0.0)
     with pytest.raises(ValueError, match="inconsistent"):
-        GameReport("x", 1, params, 10, 5, 6, 0.0, 0.0, 0.0)
+        GameReport("x", 1, params, 10, 5, 6, 0.0, 0.0)
     with pytest.raises(ValueError, match="inconsistent"):
-        GameReport("x", 1, params, 10, 11, 0, 0.0, 0.0, 0.0)
+        GameReport("x", 1, params, 10, 11, 0, 0.0, 0.0)
 
 
 # --- analytic scores -------------------------------------------------------------
@@ -121,22 +121,22 @@ def test_instantaneous_vs_random_guess_threshold():
 
 def test_classical_basis_match_answers_correctly():
     circ = random_circuit(2, 3, np.random.default_rng(90))
-    answered, output = classical_basis_strategy(2, circ, 3, 3)
+    answered, output = classical_basis_strategy(circ, 3, 3)
     assert answered
     assert fidelity(output, apply_circuit(circ, basis_state(2, 3))) > 1 - 1e-9
 
 
 def test_classical_basis_mismatch_declines():
-    answered, output = classical_basis_strategy(2, Circuit(2), 1, 2)
+    answered, output = classical_basis_strategy(Circuit(2), 1, 2)
     assert not answered
     assert output is None
 
 
 def test_classical_basis_index_validation():
     with pytest.raises(ValueError, match="input index"):
-        classical_basis_strategy(1, Circuit(1), 2, 0)
+        classical_basis_strategy(Circuit(1), 2, 0)
     with pytest.raises(ValueError, match="guess index"):
-        classical_basis_strategy(1, Circuit(1), 0, 2)
+        classical_basis_strategy(Circuit(1), 0, 2)
 
 
 def test_classical_basis_answer_rate():
@@ -147,16 +147,17 @@ def test_classical_basis_answer_rate():
     for _ in range(trials):
         actual = int(rng.integers(8))
         guess = int(rng.integers(8))
-        answered, _ = classical_basis_strategy(3, circ, actual, guess)
+        answered, _ = classical_basis_strategy(circ, actual, guess)
         hits += answered
     rate_within_3sigma(hits, trials, 0.125)
 
 
 def test_rsp_identity_on_zero_state():
     rng = np.random.default_rng(94)
+    resource = prepare_offline(Circuit(1))
     hits = 0
     for _ in range(200):
-        answered, output = rsp_strategy(1, Circuit(1), basis_state(1, 0), rng)
+        answered, output = rsp_strategy(resource, basis_state(1, 0), rng)
         if answered:
             hits += 1
             assert fidelity(output, basis_state(1, 0)) > 1 - 1e-9
@@ -173,7 +174,7 @@ def test_rsp_success_gives_circuit_output(n):
         target = apply_circuit(circ, known)
         seen = 0
         while seen < 5:  # collect a few successes per input
-            answered, output = rsp_strategy(n, circ, known, rng, resource=resource)
+            answered, output = rsp_strategy(resource, known, rng)
             if answered:
                 seen += 1
                 assert fidelity(output, target) > 1 - 1e-9
@@ -187,18 +188,15 @@ def test_rsp_success_rate_entangled_input():
     bell_like = prepare_offline(Circuit(1)).joint_state  # 2-qubit entangled state
     trials, hits = 4000, 0
     for _ in range(trials):
-        answered, _ = rsp_strategy(2, circ, bell_like, rng, resource=resource)
+        answered, _ = rsp_strategy(resource, bell_like, rng)
         hits += answered
     rate_within_3sigma(hits, trials, 0.25)
 
 
 def test_rsp_validates_sizes():
     rng = np.random.default_rng(98)
-    with pytest.raises(ValueError, match="expected"):
-        rsp_strategy(2, Circuit(2), basis_state(1, 0), rng)
-    with pytest.raises(ValueError, match="resource"):
-        rsp_strategy(1, Circuit(1), basis_state(1, 0), rng,
-                     resource=prepare_offline(Circuit(2)))
+    with pytest.raises(ValueError, match="resource expects 2"):
+        rsp_strategy(prepare_offline(Circuit(2)), basis_state(1, 0), rng)
 
 
 @pytest.mark.parametrize("F", [0.0, 0.3, 0.9, 1.0])
@@ -235,16 +233,13 @@ def test_approximate_output_validates_fidelity():
 def _game(kind, n, trials, seed, penalty=10.0, cost=0.0, depth=2):
     rng = np.random.default_rng(seed)
     circ = random_circuit(n, depth, rng)
-    return run_game(kind, n, circ, ScoreParams(1.0, penalty, cost), trials, rng)
+    return run_game(kind, circ, ScoreParams(1.0, penalty, cost), trials, rng)
 
 
 def test_run_game_validates_inputs():
     rng = np.random.default_rng(100)
-    circ = Circuit(2)
-    with pytest.raises(ValueError, match="game needs"):
-        run_game(NO_ANSWER, 1, circ, ScoreParams(1.0, 0.0), 10, rng)
     with pytest.raises(ValueError, match="trials"):
-        run_game(NO_ANSWER, 2, circ, ScoreParams(1.0, 0.0), 0, rng)
+        run_game(NO_ANSWER, Circuit(2), ScoreParams(1.0, 0.0), 0, rng)
 
 
 def test_no_answer_report_is_all_zero():
@@ -342,8 +337,9 @@ def test_breakeven_separates_the_scores():
 def test_report_dict_round_trips_through_json():
     import json
     report = GameReport("random_guess", 2, ScoreParams(1.0, 10.0), 5, 5, 1,
-                        -6.0, -7.25, 0.0)
+                        -7.25, 0.0)
     doc = json.loads(json.dumps(game_report_to_dict(report)))
     assert doc["strategy"] == "random_guess"
     assert doc["N"] == 10.0
     assert doc["correct"] == 1
+    assert doc["empirical_score"] == -7.8  # (1 * 1 - 10 * 4) / 5, from the counts

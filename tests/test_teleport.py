@@ -28,6 +28,7 @@ from instaqc.teleport import (
     CORRECTIONS,
     BsmOutcome,
     InstantRunResult,
+    OfflineResource,
     bell_measure_pairs,
     check_measurement,
     force_outcome,
@@ -88,6 +89,12 @@ def test_prepare_offline_identity_keeps_pair():
     res = prepare_offline(Circuit(1))
     assert np.allclose(res.joint_state.amplitudes,
                        [1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)])
+
+
+def test_resource_size_is_half_its_joint_state():
+    assert prepare_offline(Circuit(3)).n == 3
+    with pytest.raises(ValueError, match="even"):
+        OfflineResource(basis_state(3, 0))
 
 
 def test_prepare_offline_x_gives_swapped_pattern():
@@ -279,7 +286,7 @@ def test_repair_permutation_matches_corrections_gate_by_gate(n):
         for i, key in enumerate(outcome.bits):
             for gate in CORRECTIONS[key]:
                 expected = apply_gate(expected, gate, [i])
-        result = InstantRunResult(outcome, outcome.all_trivial(), output)
+        result = InstantRunResult(outcome, output)
         fixed, _ = run_with_corrections(result, circ)
         assert np.abs(fixed.amplitudes - u @ expected.amplitudes).max() <= 1e-12
 
