@@ -66,7 +66,7 @@ def apply_circuit(circuit: Circuit, state: StateVector, offset: int = 0) -> Stat
             f"does not fit in {state.num_qubits} qubits")
     high = 1 << (state.num_qubits - k - offset)
     psi = state.amplitudes.reshape(high, 1 << k, 1 << offset)
-    return StateVector(state.num_qubits, (circuit.unitary @ psi).reshape(-1))
+    return StateVector((circuit.unitary @ psi).reshape(-1))
 
 
 def inverse(circuit: Circuit) -> Circuit:
@@ -92,7 +92,7 @@ def random_circuit(num_qubits: int, depth: int, rng: np.random.Generator) -> Cir
     gates: list[Gate] = []
     for _ in range(depth):
         for qubit in range(num_qubits):
-            gates.append((GateMatrix(1, _haar_unitary_2x2(rng)), (qubit,)))
+            gates.append((GateMatrix(_haar_unitary_2x2(rng)), (qubit,)))
         if num_qubits >= 2:
             control, target = rng.choice(num_qubits, size=2, replace=False)
             gates.append((CNOT, (int(control), int(target))))
@@ -137,11 +137,7 @@ def circuit_from_dict(doc: dict) -> Circuit:
                     raise ValueError(f"unknown gate name {name!r}")
                 gate = NAMED_GATES[name]
             else:
-                mat = _matrix_from_json(entry["matrix"])
-                arity = {2: 1, 4: 2}.get(mat.shape[0])
-                if arity is None or mat.shape[0] != mat.shape[1]:
-                    raise ValueError(f"matrix shape {mat.shape} is not 2x2 or 4x4")
-                gate = GateMatrix(arity, mat)
+                gate = GateMatrix(_matrix_from_json(entry["matrix"]))
             gates.append((gate, tuple(targets)))
         num_qubits = doc["num_qubits"]
     except KeyError as exc:

@@ -79,7 +79,8 @@ def _parse_strategy_token(token: str) -> StrategyKind:
     head, colon, arg = token.partition(":")
     if head not in _TOKENS:
         raise ValueError(f"unknown strategy {token!r}; choose from {_TOKEN_LIST}")
-    return StrategyKind(_TOKENS[head], float(arg) if colon else None)
+    key = f"strategies token {token!r} fidelity"
+    return StrategyKind(_TOKENS[head], _number(key, arg, float) if colon else None)
 
 
 # The resource holds 2n qubits, so n is capped at half the register limit.
@@ -281,12 +282,13 @@ def _parse_timeline(args):
             doc = json.load(fh)
     else:
         doc = json.load(sys.stdin)
-    args.timeline_config = timeline_config_from_dict(doc)
+    # The report is built here: a time that overflows is bad input
+    args.timeline_report = simulate_timeline(timeline_config_from_dict(doc))
     return args
 
 
 def _run_timeline(args) -> str:
-    row = asdict(simulate_timeline(args.timeline_config))
+    row = asdict(args.timeline_report)
     return _csv([row]) if args.csv else _json_dumps(row)
 
 

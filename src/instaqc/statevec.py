@@ -13,7 +13,7 @@ StateVector.  Random choices always come from an explicit numpy Generator.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,63 +48,57 @@ def _unitarity_error(mat: np.ndarray) -> float:
 class StateVector:
     """Normalized amplitudes over 2**num_qubits little-endian basis states."""
 
-    num_qubits: int
     amplitudes: np.ndarray
+    num_qubits: int = field(init=False)
 
     def __post_init__(self):
-        if self.num_qubits < 1:
-            raise ValueError(f"num_qubits must be >= 1, got {self.num_qubits}")
         amps = np.array(self.amplitudes, dtype=complex)
-        dim = 1 << self.num_qubits
-        if amps.shape != (dim,):
-            raise ValueError(f"expected {dim} amplitudes, got shape {amps.shape}")
+        n = amps.size.bit_length() - 1
+        if amps.ndim != 1 or n < 1 or amps.size != 1 << n:
+            raise ValueError(f"need 2**n amplitudes, n >= 1; got shape {amps.shape}")
         norm_sq = float(np.vdot(amps, amps).real)
         # Negated so a NaN or inf amplitude, which makes norm_sq non-finite, fails.
         if not abs(norm_sq - 1.0) <= NORM_TOL:
             raise ValueError(f"state not normalized: sum |a|^2 = {norm_sq!r}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "num_qubits", n)
 
 
 @dataclass(frozen=True, eq=False)
 class GateMatrix:
-    """Unitary on 1 or 2 qubits; `name` is kept only for serialization."""
+    """Unitary on 1 or 2 qubits, 2x2 or 4x4; `name` is kept only for serialization."""
 
-    arity: int
     entries: np.ndarray
     name: str | None = None
+    arity: int = field(init=False)
 
     def __post_init__(self):
-        if self.arity not in (1, 2):
-            raise ValueError(f"gate arity must be 1 or 2, got {self.arity}")
         mat = np.array(self.entries, dtype=complex)
-        dim = 1 << self.arity
-        if mat.shape != (dim, dim):
-            raise ValueError(f"expected {dim}x{dim} matrix, got shape {mat.shape}")
+        if mat.shape not in ((2, 2), (4, 4)):
+            raise ValueError(f"gate matrix must be 2x2 or 4x4, got shape {mat.shape}")
         err = _unitarity_error(mat)
         if not err <= UNITARY_TOL:
             raise ValueError(f"matrix not unitary: max |MM^dag - I| = {err:g}")
         mat.setflags(write=False)
         object.__setattr__(self, "entries", mat)
+        object.__setattr__(self, "arity", mat.shape[0] // 2)
 
     def dagger(self) -> "GateMatrix":
         adj = self.entries.conj().T
         name = self.name if np.array_equal(adj, self.entries) else None
-        return GateMatrix(self.arity, adj, name=name)
+        return GateMatrix(adj, name=name)
 
 
-H = GateMatrix(1, np.array([[1, 1], [1, -1]]) * _SQRT2_INV, name="H")
-X = GateMatrix(1, np.array([[0, 1], [1, 0]]), name="X")
-Y = GateMatrix(1, np.array([[0, -1j], [1j, 0]]), name="Y")
-Z = GateMatrix(1, np.array([[1, 0], [0, -1]]), name="Z")
-S = GateMatrix(1, np.array([[1, 0], [0, 1j]]), name="S")
-T = GateMatrix(1, np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]]), name="T")
+H = GateMatrix(np.array([[1, 1], [1, -1]]) * _SQRT2_INV, name="H")
+X = GateMatrix(np.array([[0, 1], [1, 0]]), name="X")
+Y = GateMatrix(np.array([[0, -1j], [1j, 0]]), name="Y")
+Z = GateMatrix(np.array([[1, 0], [0, -1]]), name="Z")
+S = GateMatrix(np.array([[1, 0], [0, 1j]]), name="S")
+T = GateMatrix(np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]]), name="T")
 # Little-endian CNOT for targets=(control, target): flips bit 1 when bit 0 is set.
 CNOT = GateMatrix(
-    2,
-    np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]]),
-    name="CNOT",
-)
+    np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]]), name="CNOT")
 
 NAMED_GATES = {g.name: g for g in (H, X, Y, Z, S, T, CNOT)}
 
@@ -116,14 +110,13 @@ def basis_state(num_qubits: int, index: int) -> StateVector:
         raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
     amps = np.zeros(dim, dtype=complex)
     amps[index] = 1.0
-    return StateVector(num_qubits, amps)
+    return StateVector(amps)
 
 
 def tensor_product(a: StateVector, b: StateVector) -> StateVector:
     """Combined state with `a` on the lower-indexed qubits, `b` above it."""
-    n = a.num_qubits + b.num_qubits
-    _check_size(n)
-    return StateVector(n, np.kron(b.amplitudes, a.amplitudes))
+    _check_size(a.num_qubits + b.num_qubits)
+    return StateVector(np.kron(b.amplitudes, a.amplitudes))
 
 
 def _check_targets(num_qubits: int, targets) -> None:
@@ -171,7 +164,7 @@ def apply_gate(state: StateVector, gate: GateMatrix, targets) -> StateVector:
     n = state.num_qubits
     targets = _check_gate_targets(n, gate, targets)
     out = _apply_gate_batch(state.amplitudes[np.newaxis], n, gate, targets)
-    return StateVector(n, out[0])
+    return StateVector(out[0])
 
 
 def _validated_basis(basis, k: int) -> np.ndarray:
@@ -229,7 +222,7 @@ def measure_in_basis(state: StateVector, targets, basis, rng: np.random.Generato
     collapsed = np.outer(mat[outcome], rest)
     src = [n - 1 - t for t in reversed(targets)]
     collapsed = np.moveaxis(collapsed.reshape([2] * n), range(k), src).reshape(-1)
-    return outcome, float(probs[outcome]), StateVector(n, collapsed)
+    return outcome, float(probs[outcome]), StateVector(collapsed)
 
 
 def project_out(state: StateVector, targets, vector):
@@ -250,7 +243,7 @@ def project_out(state: StateVector, targets, vector):
     prob = float(np.vdot(reduced, reduced).real)
     if prob < 1e-12:
         raise ValueError("projection outcome has (near-)zero probability")
-    return prob, StateVector(n - k, reduced / np.sqrt(prob))
+    return prob, StateVector(reduced / np.sqrt(prob))
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:
@@ -265,7 +258,7 @@ def sample_haar_state(num_qubits: int, rng: np.random.Generator) -> StateVector:
     _check_size(num_qubits)
     dim = 1 << num_qubits
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return StateVector(num_qubits, z / np.linalg.norm(z))
+    return StateVector(z / np.linalg.norm(z))
 
 
 def orthonormal_basis_containing(first) -> np.ndarray:

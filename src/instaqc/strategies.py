@@ -75,20 +75,32 @@ class ScoreParams:
 
 @dataclass(frozen=True)
 class GameReport:
-    strategy: str
+    """One strategy's counts at one (n, stakes) point; scores and cost are derived."""
+
+    kind: StrategyKind
     n: int
     params: ScoreParams
     trials: int
     answered_count: int
     correct_O_count: int
-    analytic_expected_score: float
-    total_cost: float
 
     def __post_init__(self):
         if not 0 <= self.correct_O_count <= self.answered_count <= self.trials:
             raise ValueError(
                 f"inconsistent counts: {self.correct_O_count} correct, "
                 f"{self.answered_count} answered, {self.trials} trials")
+
+    @property
+    def analytic_expected_score(self) -> float:
+        """The kind's analytic per-trial score at n under these stakes."""
+        return expected_score(self.kind, self.n, self.params)
+
+    @property
+    def total_cost(self) -> float:
+        """C per trial for a strategy that consumes a run every trial, else 0."""
+        if STRATEGIES[self.kind.name].consumes_run:
+            return self.params.cost_C * self.trials
+        return 0.0
 
     @property
     def empirical_mean_score(self) -> float:
@@ -102,7 +114,7 @@ def game_report_to_dict(report: GameReport) -> dict:
     """The report as one output row; the CLI prints it as JSON or CSV."""
     p = report.params
     return {
-        "strategy": report.strategy,
+        "strategy": report.kind.label,
         "n": report.n,
         "P": p.reward_P,
         "N": p.penalty_N,
@@ -169,7 +181,7 @@ def approximate_output(correct: StateVector, fidelity_F: float) -> StateVector:
     w[j] += 1.0
     w /= np.linalg.norm(w)
     amps = math.sqrt(fidelity_F) * c + math.sqrt(1.0 - fidelity_F) * w
-    return StateVector(correct.num_qubits, amps)
+    return StateVector(amps)
 
 
 # --- per-trial samplers ---------------------------------------------------------
@@ -282,16 +294,7 @@ def run_game(kind: StrategyKind, circuit: Circuit, params: ScoreParams,
         answered += 1
         correct += check_measurement(*drawn, rng)[0]
 
-    return GameReport(
-        strategy=kind.label,
-        n=circuit.num_qubits,
-        params=params,
-        trials=trials,
-        answered_count=answered,
-        correct_O_count=correct,
-        analytic_expected_score=expected_score(kind, circuit.num_qubits, params),
-        total_cost=params.cost_C * trials if entry.consumes_run else 0.0,
-    )
+    return GameReport(kind, circuit.num_qubits, params, trials, answered, correct)
 
 
 def cost_analysis(n: int, params: ScoreParams):

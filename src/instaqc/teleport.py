@@ -151,7 +151,7 @@ def make_bell_pairs(n: int) -> StateVector:
     scale = 2.0 ** (-n / 2)
     for a in range(1 << n):
         amps[a | (a << n)] = scale
-    return StateVector(2 * n, amps)
+    return StateVector(amps)
 
 
 def prepare_offline(circuit: Circuit) -> OfflineResource:
@@ -195,7 +195,7 @@ def bell_measure_pairs(joint: StateVector, rng: np.random.Generator):
         b = _draw(probs, rng)
         bits.append((b & 1, b >> 1))
         state = proj[b] / np.sqrt(probs[b])
-    return BsmOutcome(tuple(bits)), StateVector(len(bits), state.reshape(-1))
+    return BsmOutcome(tuple(bits)), StateVector(state.reshape(-1))
 
 
 def run_instantaneous(resource: OfflineResource, input_state: StateVector,
@@ -210,7 +210,6 @@ def run_instantaneous(resource: OfflineResource, input_state: StateVector,
     `bell_measure_pairs`, which is the reference for this kernel.  The far
     block is read once, for the output.
     """
-    n = resource.n
     resource._check_input(input_state)
     w = input_state.amplitudes
     bits = []
@@ -221,10 +220,10 @@ def run_instantaneous(resource: OfflineResource, input_state: StateVector,
         b = _draw(probs, rng)
         bits.append((b & 1, b >> 1))
         w = c[b]
-    side = 1 << n
+    side = 1 << resource.n
     far = resource.joint_state.amplitudes.reshape(side, side) @ w[:, 0]
     return InstantRunResult(BsmOutcome(tuple(bits)),
-                            StateVector(n, far / np.sqrt(probs[b])))
+                            StateVector(far / np.sqrt(probs[b])))
 
 
 def force_outcome(resource: OfflineResource, input_state: StateVector,
@@ -287,7 +286,7 @@ def run_with_corrections(result: InstantRunResult, circuit: Circuit):
     sign = 1 - 2 * _parity(idx & zmask, n)
     # U^dag psi as conj(conj(psi) U): un-runs the circuit without copying U
     unrun = (result.output_state.amplitudes.conj() @ circuit.unitary).conj()
-    return StateVector(n, circuit.unitary @ (sign * unrun[idx ^ xmask])), 2
+    return StateVector(circuit.unitary @ (sign * unrun[idx ^ xmask])), 2
 
 
 def check_measurement(output: StateVector, correct: StateVector,

@@ -48,6 +48,10 @@ class TimelineReport:
     conventional_meets_deadline: bool
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, bool) and not math.isfinite(value):
+                raise ValueError(f"{f.name} overflows to {value}: times too large")
         if self.message_arrival_time < self.alice_output_time:
             raise ValueError("message cannot arrive before it is sent")
 

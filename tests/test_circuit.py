@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import unitary_group
 
 from instaqc.circuit import (
@@ -18,6 +19,7 @@ from instaqc.circuit import (
 from instaqc.statevec import (
     CNOT,
     H,
+    NAMED_GATES,
     X,
     GateMatrix,
     basis_state,
@@ -168,7 +170,7 @@ def test_json_round_trip_named_gates():
 
 def test_json_round_trip_matrix_fallback():
     rng = np.random.default_rng(8)
-    u = GateMatrix(1, unitary_group.rvs(2, random_state=rng))
+    u = GateMatrix(unitary_group.rvs(2, random_state=rng))
     circ = Circuit(1, ((u, (0,)),))
     doc = circuit_to_dict(circ)
     assert "matrix" in doc["gates"][0]
@@ -185,6 +187,33 @@ def test_json_survives_serialization():
     back = circuit_from_dict(doc)
     psi = sample_haar_state(2, rng)
     assert fidelity(apply_circuit(back, psi), apply_circuit(circ, psi)) > 1 - 1e-9
+
+
+@st.composite
+def _mixed_circuits(draw):
+    """1-4 qubits; each gate a named gate or a raw Haar 2x2 / 4x4 matrix."""
+    n = draw(st.integers(1, 4))
+    gates = []
+    for _ in range(draw(st.integers(0, 6))):
+        arity = draw(st.sampled_from((1, 2) if n >= 2 else (1,)))
+        if draw(st.booleans()):
+            gate = draw(st.sampled_from(
+                [g for g in NAMED_GATES.values() if g.arity == arity]))
+        else:
+            seed = draw(st.integers(0, 2**32 - 1))
+            gate = GateMatrix(unitary_group.rvs(1 << arity, random_state=seed))
+        gates.append((gate, tuple(draw(st.permutations(range(n)))[:arity])))
+    return Circuit(n, tuple(gates))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mixed_circuits())
+def test_json_round_trip_property(circ):
+    back = circuit_from_dict(json.loads(json.dumps(circuit_to_dict(circ))))
+    assert back.num_qubits == circ.num_qubits
+    assert ([(g.arity, t) for g, t in back.gates]
+            == [(g.arity, t) for g, t in circ.gates])
+    assert np.abs(back.unitary - circ.unitary).max() <= 1e-12
 
 
 def test_json_unknown_gate_name():

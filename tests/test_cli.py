@@ -234,7 +234,8 @@ def test_every_strategy_token_parses_to_its_kind():
         assert kind.fidelity == (0.5 if name == "approximate" else None)
 
 
-@pytest.mark.parametrize("token", ["approx", "approx:1.5", "instant:0.5"])
+@pytest.mark.parametrize("token", ["approx", "approx:1.5", "instant:0.5",
+                                   "approx:x", "approx:0.5:1"])
 def test_game_rejects_bad_fidelity_suffix(capsys, token):
     code, out, err = run_cli(capsys, "game", "--n", "1", "--strategies", token)
     assert code == 2
@@ -304,7 +305,7 @@ def test_teleport_csv_without_successes_has_empty_fidelities(capsys):
 @pytest.mark.parametrize("command", ["teleport", "game"])
 def test_non_unitary_circuit_file_is_bad_input(monkeypatch, tmp_path, capsys, command):
     # each gate passes its own 1e-9 check; 200 of them drift past it
-    drift = GateMatrix(1, np.diag([1.0, 1.0 + 4e-10]))
+    drift = GateMatrix(np.diag([1.0, 1.0 + 4e-10]))
     path = tmp_path / "drift.json"
     save_circuit(Circuit(1, ((drift, (0,)),) * 200), path)
 
@@ -471,6 +472,17 @@ def test_timeline_rejects_non_finite_field(monkeypatch, capsys, flags):
     assert code == 2
     assert out == ""
     assert "alice_duration" in err
+
+
+@pytest.mark.parametrize("flags", [(), ("--csv",)])
+def test_timeline_rejects_overflowing_time(monkeypatch, capsys, flags):
+    # every field is finite, but t1 + alice_duration is not
+    _feed_stdin(monkeypatch, {"t1": 1e308, "t2": 1.7e308, "alice_duration": 1e308,
+                              "bob_duration": 1, "bob_start": 0, "classical_latency": 0})
+    code, out, err = run_cli(capsys, "timeline", *flags)
+    assert code == 2
+    assert out == ""
+    assert "alice_output_time overflows" in err
 
 
 @pytest.mark.parametrize("field, value", [

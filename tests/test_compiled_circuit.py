@@ -103,7 +103,7 @@ def test_unitary_columns_are_basis_images(n):
     circ = random_circuit(n, 5, rng)
     dim = 1 << n
     ref = np.column_stack([
-        _reference_apply_circuit(circ, StateVector(n, np.eye(dim)[j]))
+        _reference_apply_circuit(circ, StateVector(np.eye(dim)[j]))
         for j in range(dim)])
     assert np.abs(circ.unitary - ref).max() <= TOL
 
@@ -133,7 +133,7 @@ def test_unitary_is_cached_and_read_only():
 
 def test_drifting_gates_fail_the_unitarity_check():
     # each gate passes its own 1e-9 check; 200 of them drift past it
-    drift = GateMatrix(1, np.diag([1.0, 1.0 + 4e-10]))
+    drift = GateMatrix(np.diag([1.0, 1.0 + 4e-10]))
     circ = Circuit(1, ((drift, (0,)),) * 200)
     with pytest.raises(ValueError, match="circuit not unitary"):
         apply_circuit(circ, sample_haar_state(1, np.random.default_rng(0)))
@@ -150,4 +150,4 @@ def test_corrections_restore_every_code(n):
         _, result = force_outcome(res, psi, BsmOutcome.from_code(n, code))
         fixed, extra = run_with_corrections(result, circ)
         assert extra == 2
-        assert fidelity(fixed, StateVector(n, target)) >= 1 - 1e-9
+        assert fidelity(fixed, StateVector(target)) >= 1 - 1e-9

@@ -31,20 +31,28 @@ from instaqc.statevec import (
 
 def test_state_rejects_unnormalized():
     with pytest.raises(ValueError, match="not normalized"):
-        StateVector(1, np.array([1.0, 1.0]))
+        StateVector(np.array([1.0, 1.0]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_state_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="not normalized"):
-        StateVector(1, np.array([bad, bad]))
+        StateVector(np.array([bad, bad]))
     with pytest.raises(ValueError, match="not normalized"):
-        StateVector(2, np.array([1.0, 0.0, 0.0, bad]))
+        StateVector(np.array([1.0, 0.0, 0.0, bad]))
 
 
 def test_state_rejects_wrong_length():
-    with pytest.raises(ValueError, match="amplitudes"):
-        StateVector(2, np.array([1.0, 0.0]))
+    # 0-D, 2-D, and 1-D lengths that are not 2**n with n >= 1 (all normalized)
+    for amps in (np.array(1.0), np.eye(2) / np.sqrt(2), np.zeros(0), np.ones(1),
+                 np.ones(3) / np.sqrt(3), np.ones(6) / np.sqrt(6)):
+        with pytest.raises(ValueError, match="amplitudes"):
+            StateVector(amps)
+
+
+def test_state_qubit_count_read_off_its_length():
+    for n in range(1, 6):
+        assert StateVector(np.ones(1 << n) / np.sqrt(1 << n)).num_qubits == n
 
 
 def test_state_amplitudes_read_only():
@@ -67,15 +75,23 @@ def test_basis_state_index_range():
 
 def test_gate_rejects_non_unitary():
     with pytest.raises(ValueError, match="not unitary"):
-        GateMatrix(1, np.array([[1.0, 0.0], [0.0, 2.0]]))
+        GateMatrix(np.array([[1.0, 0.0], [0.0, 2.0]]))
+
+
+def test_gate_arity_read_off_its_shape():
+    assert GateMatrix(np.eye(2)).arity == 1
+    assert GateMatrix(np.eye(4)).arity == 2
+    for mat in (np.eye(1), np.eye(3), np.eye(2, 4), np.eye(8)):
+        with pytest.raises(ValueError, match="2x2 or 4x4"):
+            GateMatrix(mat)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_gate_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="not unitary"):
-        GateMatrix(1, np.full((2, 2), bad))
+        GateMatrix(np.full((2, 2), bad))
     with pytest.raises(ValueError, match="not unitary"):
-        GateMatrix(2, np.diag([1.0, 1.0, 1.0, bad]))
+        GateMatrix(np.diag([1.0, 1.0, 1.0, bad]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -165,7 +181,7 @@ def test_apply_gate_preserves_norm():
     rng = np.random.default_rng(21)
     for _ in range(20):
         psi = sample_haar_state(4, rng)
-        u = GateMatrix(1, unitary_group.rvs(2, random_state=rng))
+        u = GateMatrix(unitary_group.rvs(2, random_state=rng))
         out = apply_gate(psi, u, [int(rng.integers(4))])
         assert abs(np.vdot(out.amplitudes, out.amplitudes).real - 1.0) < 1e-12
 
@@ -283,7 +299,7 @@ def test_project_out_must_leave_a_qubit():
 def test_fidelity_phase_invariant():
     rng = np.random.default_rng(10)
     psi = sample_haar_state(2, rng)
-    rotated = StateVector(2, np.exp(1.37j) * psi.amplitudes)
+    rotated = StateVector(np.exp(1.37j) * psi.amplitudes)
     assert abs(fidelity(psi, rotated) - 1.0) < 1e-12
 
 

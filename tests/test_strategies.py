@@ -18,6 +18,7 @@ from instaqc.strategies import (
     NO_ANSWER,
     RANDOM_GUESS,
     REMOTE_STATE_PREP,
+    STRATEGIES,
     GameReport,
     ScoreParams,
     StrategyKind,
@@ -69,9 +70,9 @@ def test_score_params_rejects_non_finite(field, bad):
 def test_game_report_count_invariant():
     params = ScoreParams(1.0, 0.0)
     with pytest.raises(ValueError, match="inconsistent"):
-        GameReport("x", 1, params, 10, 5, 6, 0.0, 0.0)
+        GameReport(INSTANTANEOUS, 1, params, 10, 5, 6)
     with pytest.raises(ValueError, match="inconsistent"):
-        GameReport("x", 1, params, 10, 11, 0, 0.0, 0.0)
+        GameReport(INSTANTANEOUS, 1, params, 10, 11, 0)
 
 
 # --- analytic scores -------------------------------------------------------------
@@ -336,10 +337,23 @@ def test_breakeven_separates_the_scores():
 
 def test_report_dict_round_trips_through_json():
     import json
-    report = GameReport("random_guess", 2, ScoreParams(1.0, 10.0), 5, 5, 1,
-                        -7.25, 0.0)
+    report = GameReport(RANDOM_GUESS, 2, ScoreParams(1.0, 10.0, 3.0), 5, 5, 1)
     doc = json.loads(json.dumps(game_report_to_dict(report)))
     assert doc["strategy"] == "random_guess"
     assert doc["N"] == 10.0
     assert doc["correct"] == 1
     assert doc["empirical_score"] == -7.8  # (1 * 1 - 10 * 4) / 5, from the counts
+    assert doc["analytic_score"] == -7.25  # 1/4 - 10 * 3/4, from kind, n and stakes
+    assert doc["total_cost"] == 0.0  # random guessing consumes no run
+    report = GameReport(INSTANTANEOUS, 2, ScoreParams(1.0, 10.0, 3.0), 5, 5, 1)
+    assert game_report_to_dict(report)["total_cost"] == 15.0
+
+
+def test_report_scores_follow_its_kind():
+    params = ScoreParams(2.0, 5.0, 0.75)
+    for name, entry in STRATEGIES.items():
+        kind = approximate(0.9) if name == "approximate" else StrategyKind(name)
+        for n in range(1, 5):
+            report = GameReport(kind, n, params, 8, 3, 2)
+            assert report.analytic_expected_score == expected_score(kind, n, params)
+            assert report.total_cost == (0.75 * 8 if entry.consumes_run else 0.0), name

@@ -279,7 +279,7 @@ def test_repair_permutation_matches_corrections_gate_by_gate(n):
     circ = random_circuit(n, 3, rng)
     u = circ.unitary
     output = sample_haar_state(n, rng)
-    unrun = StateVector(n, u.conj().T @ output.amplitudes)
+    unrun = StateVector(u.conj().T @ output.amplitudes)
     for code in range(4**n):
         outcome = BsmOutcome.from_code(n, code)
         expected = unrun
@@ -292,7 +292,7 @@ def test_repair_permutation_matches_corrections_gate_by_gate(n):
 
 
 def _z_rotation(theta):
-    return GateMatrix(1, np.diag([1.0, np.exp(1j * theta)]))
+    return GateMatrix(np.diag([1.0, np.exp(1j * theta)]))
 
 
 def test_pure_z_circuit_commutes_with_z_corrections():
