@@ -70,7 +70,8 @@ print()
 # A sampled run, graded the way the game grades it: project onto a basis
 # that contains the right answer and see which outcome fires.
 result = run_instantaneous(resource, psi, rng)
-is_O, prob_O = check_measurement(result.output_state, target, rng)
+(is_O,), (prob_O,) = check_measurement(result.output_state.amplitudes[None],
+                                       target.amplitudes[None], rng)
 print(f"one sampled run: outcome {result.outcome.bits}, "
       f"success = {result.success}")
 print(f"  check measurement: fired correct = {is_O}, "

@@ -26,6 +26,10 @@ MAX_QUBITS = 16
 # so far exceeds 1 - 1e-6, i.e. whose residual squared norm is below this.
 _GS_RESIDUAL_MIN = 1e-6
 
+# A projection whose outcome probability is below this is refused rather
+# than renormalized by a near-zero norm.
+_OUTCOME_PROB_MIN = 1e-12
+
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
 
 
@@ -195,11 +199,29 @@ def _draw(probs: np.ndarray, rng: np.random.Generator) -> int:
     """Sample an outcome index from unnormalized probabilities.
 
     The one sampling rule of the package: one rng.random() u, and the first
-    index whose normalized cumulative probability exceeds u.  Two outcomes
-    [p, 1 - p] sum to exactly 1 in floating point, so there it is u < p.
+    index whose normalized cumulative probability exceeds u, else the last.
+    Two outcomes [p, 1 - p] sum to exactly 1 in floating point, so there it
+    is u < p.  The cumulative sum runs left to right in Python floats, the
+    order np.cumsum adds in; the total stays numpy's (pairwise from 8 terms).
     """
-    cum = np.cumsum(probs / probs.sum())
-    return min(int(np.searchsorted(cum, rng.random(), side="right")), len(probs) - 1)
+    total = float(probs.sum())
+    u = rng.random()
+    acc = 0.0
+    values = probs.tolist()
+    for i, p in enumerate(values):
+        acc += p / total
+        if u < acc:
+            return i
+    return len(values) - 1
+
+
+def _draw_rows(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """`_draw`'s rule on each row of a (B, k) array of unnormalized
+    probabilities, row t with threshold uniforms[t]: the count of normalized
+    cumulative probabilities <= u, at most k - 1.  np.cumsum adds left to
+    right, as `_draw` does."""
+    cum = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
+    return np.minimum((cum <= uniforms[:, np.newaxis]).sum(axis=1), probs.shape[1] - 1)
 
 
 def measure_in_basis(state: StateVector, targets, basis, rng: np.random.Generator):
@@ -241,16 +263,28 @@ def project_out(state: StateVector, targets, vector):
         raise ValueError(f"expected projection vector of length {1 << k}, got {vec.shape}")
     reduced = vec.conj() @ _targets_to_front(state, targets)
     prob = float(np.vdot(reduced, reduced).real)
-    if prob < 1e-12:
-        raise ValueError("projection outcome has (near-)zero probability")
+    _check_outcome_probability(prob)
     return prob, StateVector(reduced / np.sqrt(prob))
+
+
+def _check_outcome_probability(prob) -> None:
+    """Raise if the outcome probability, or any of an array of them, is
+    below _OUTCOME_PROB_MIN."""
+    if np.any(prob < _OUTCOME_PROB_MIN):
+        raise ValueError("projection outcome has (near-)zero probability")
+
+
+def _fidelities(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|<a|b>|^2 capped at 1 along the last axis: one value for two vectors,
+    one per row for two (B, 2^n) arrays, the same arithmetic either way."""
+    return np.minimum(np.abs(np.einsum("...i,...i->...", a.conj(), b)) ** 2, 1.0)
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:
     """|<a|b>|^2, invariant under global phase."""
     if a.num_qubits != b.num_qubits:
         raise ValueError(f"qubit counts differ: {a.num_qubits} vs {b.num_qubits}")
-    return min(float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2), 1.0)
+    return float(_fidelities(a.amplitudes, b.amplitudes))
 
 
 def sample_haar_state(num_qubits: int, rng: np.random.Generator) -> StateVector:
@@ -259,6 +293,15 @@ def sample_haar_state(num_qubits: int, rng: np.random.Generator) -> StateVector:
     dim = 1 << num_qubits
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return StateVector(z / np.linalg.norm(z))
+
+
+def _haar_rows(num_qubits: int, rows: int, rng: np.random.Generator) -> np.ndarray:
+    """`rows` Haar-random states as the rows of a (rows, 2**n) array: iid
+    complex Gaussians (all real parts drawn first), normalized row-wise."""
+    _check_size(num_qubits)
+    shape = (rows, 1 << num_qubits)
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
 def orthonormal_basis_containing(first) -> np.ndarray:

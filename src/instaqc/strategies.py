@@ -13,20 +13,22 @@ from typing import Callable
 
 import numpy as np
 
-from .circuit import Circuit, apply_circuit
+from .circuit import Circuit
 from .statevec import (
     _GS_RESIDUAL_MIN,
     StateVector,
-    basis_state,
-    project_out,
-    sample_haar_state,
+    _check_outcome_probability,
+    _haar_rows,
 )
-from .teleport import (
-    OfflineResource,
-    check_measurement,
-    prepare_offline,
-    run_instantaneous,
-)
+from .teleport import OfflineResource, _bell_rows, check_measurement, prepare_offline
+
+# Trials per chunk: about 128 KiB of working set.  The largest chunk kernel
+# (instant) holds ~10 (B, 2^n) complex arrays at once, 160 B per amplitude.
+_CHUNK_BYTES = 128 << 10
+
+
+def _chunk_rows(n: int) -> int:
+    return max(1, _CHUNK_BYTES // (160 << n))
 
 
 @dataclass(frozen=True)
@@ -85,6 +87,10 @@ class GameReport:
     correct_O_count: int
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"need n >= 1, got {self.n}")
+        if self.trials < 1:
+            raise ValueError(f"need trials >= 1, got {self.trials}")
         if not 0 <= self.correct_O_count <= self.answered_count <= self.trials:
             raise ValueError(
                 f"inconsistent counts: {self.correct_O_count} correct, "
@@ -128,6 +134,13 @@ def game_report_to_dict(report: GameReport) -> dict:
     }
 
 
+def _classical_rows(circuit: Circuit, actual: np.ndarray, guess: np.ndarray):
+    """`classical_basis_strategy` over index arrays: (answered mask, circuit
+    outputs of the answered rows' guesses, one row each)."""
+    hit = actual == guess
+    return hit, circuit.unitary.T[guess[hit]]  # U e_g is column g of U
+
+
 def classical_basis_strategy(circuit: Circuit, actual_input_index: int,
                              precomputed_guess_index: int):
     """Distinguish a known-basis input by measurement; answer only on a match.
@@ -138,15 +151,26 @@ def classical_basis_strategy(circuit: Circuit, actual_input_index: int,
     so the measurement is the index comparison and the answer (when given)
     is always right.
     """
-    n = circuit.num_qubits
-    dim = 1 << n
+    dim = 1 << circuit.num_qubits
     if not 0 <= actual_input_index < dim:
         raise ValueError(f"input index {actual_input_index} out of range")
     if not 0 <= precomputed_guess_index < dim:
         raise ValueError(f"guess index {precomputed_guess_index} out of range")
-    if actual_input_index != precomputed_guess_index:
-        return False, None
-    return True, apply_circuit(circuit, basis_state(n, precomputed_guess_index))
+    hit, outputs = _classical_rows(circuit, np.array([actual_input_index]),
+                                   np.array([precomputed_guess_index]))
+    return (True, StateVector(outputs[0])) if hit[0] else (False, None)
+
+
+def _rsp_rows(resource: OfflineResource, known: np.ndarray, rng: np.random.Generator):
+    """`rsp_strategy` over the rows of a (B, 2^n) array of known inputs, one
+    rng.random(B): (fired mask, normalized far blocks of the fired rows).
+    Raises, before drawing, if any row's outcome has (near-)zero probability."""
+    side = 1 << resource.n
+    far = known @ resource.joint_state.amplitudes.reshape(side, side).T
+    prob = np.einsum("ti,ti->t", far.conj(), far).real
+    _check_outcome_probability(prob)
+    fired = rng.random(len(prob)) < prob
+    return fired, far[fired] / np.sqrt(prob[fired])[:, None]
 
 
 def rsp_strategy(resource: OfflineResource, known_input: StateVector,
@@ -160,9 +184,22 @@ def rsp_strategy(resource: OfflineResource, known_input: StateVector,
     whether it fired.
     """
     resource._check_input(known_input)
-    prob, far = project_out(resource.joint_state, range(resource.n),
-                            known_input.amplitudes.conj())
-    return (True, far) if rng.random() < prob else (False, None)
+    fired, outputs = _rsp_rows(resource, known_input.amplitudes[np.newaxis], rng)
+    return (True, StateVector(outputs[0])) if fired[0] else (False, None)
+
+
+def _approximate_rows(corrects: np.ndarray, fidelity_F: float) -> np.ndarray:
+    """`approximate_output` on every row of a (B, 2^n) array."""
+    if fidelity_F == 1.0:
+        return corrects
+    c = corrects / np.linalg.norm(corrects, axis=1, keepdims=True)
+    # |c_j|^2 <= 1 - _GS_RESIDUAL_MIN holds for some j whenever dim >= 2
+    j = np.argmax(1.0 - np.abs(c) ** 2 > _GS_RESIDUAL_MIN, axis=1)
+    picked = np.arange(len(c))
+    w = -c[picked, j].conj()[:, np.newaxis] * c
+    w[picked, j] += 1.0
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    return math.sqrt(fidelity_F) * c + math.sqrt(1.0 - fidelity_F) * w
 
 
 def approximate_output(correct: StateVector, fidelity_F: float) -> StateVector:
@@ -172,60 +209,54 @@ def approximate_output(correct: StateVector, fidelity_F: float) -> StateVector:
     `orthonormal_basis_containing(c)`."""
     if not 0.0 <= fidelity_F <= 1.0:
         raise ValueError(f"fidelity must be in [0, 1], got {fidelity_F}")
-    if fidelity_F == 1.0:
-        return correct
-    c = correct.amplitudes / np.linalg.norm(correct.amplitudes)
-    # |c_j|^2 <= 1 - _GS_RESIDUAL_MIN holds for some j whenever dim >= 2
-    j = int(np.argmax(1.0 - np.abs(c) ** 2 > _GS_RESIDUAL_MIN))
-    w = -c[j].conj() * c
-    w[j] += 1.0
-    w /= np.linalg.norm(w)
-    amps = math.sqrt(fidelity_F) * c + math.sqrt(1.0 - fidelity_F) * w
-    return StateVector(amps)
+    return StateVector(_approximate_rows(correct.amplitudes[np.newaxis], fidelity_F)[0])
 
 
-# --- per-trial samplers ---------------------------------------------------------
-# Each plays one round: (answer, correct output) if the strategy answers, else
-# None.  They call the layer functions through this module's globals.
+# --- chunk samplers ---------------------------------------------------------------
+# Each plays `rows` rounds and returns (answers, correct outputs), two
+# (A, 2^n) arrays holding only the A rounds the strategy answered.  Circuit
+# outputs are `inputs @ U.T`.
 
-def _decline(kind, circuit, resource, rng):
-    return None
+def _decline(kind, circuit, resource, rows, rng):
+    none = np.empty((0, 1 << circuit.num_qubits), dtype=complex)
+    return none, none
 
 
-def _guess(kind, circuit, resource, rng):
+def _guess(kind, circuit, resource, rows, rng):
     n = circuit.num_qubits
-    target = apply_circuit(circuit, sample_haar_state(n, rng))
-    return sample_haar_state(n, rng), target
+    targets = _haar_rows(n, rows, rng) @ circuit.unitary.T
+    return _haar_rows(n, rows, rng), targets
 
 
-def _teleport(kind, circuit, resource, rng):
-    psi = sample_haar_state(circuit.num_qubits, rng)
-    result = run_instantaneous(resource, psi, rng)
-    return (result.output_state, apply_circuit(circuit, psi)) if result.success else None
+def _teleport(kind, circuit, resource, rows, rng):
+    inputs = _haar_rows(circuit.num_qubits, rows, rng)
+    codes, outputs = _bell_rows(resource, inputs, rng)
+    success = codes == 0
+    return outputs[success], inputs[success] @ circuit.unitary.T
 
 
-def _classical(kind, circuit, resource, rng):
-    n = circuit.num_qubits
-    actual = int(rng.integers(1 << n))
-    guess = int(rng.integers(1 << n))
-    ok, output = classical_basis_strategy(circuit, actual, guess)
-    return (output, output) if ok else None  # ok only when actual == guess
+def _classical(kind, circuit, resource, rows, rng):
+    dim = 1 << circuit.num_qubits
+    actual = rng.integers(dim, size=rows)
+    guess = rng.integers(dim, size=rows)
+    _, outputs = _classical_rows(circuit, actual, guess)
+    return outputs, outputs  # answered only when actual == guess
 
 
-def _steer(kind, circuit, resource, rng):
-    known = sample_haar_state(circuit.num_qubits, rng)
-    ok, output = rsp_strategy(resource, known, rng)
-    return (output, apply_circuit(circuit, known)) if ok else None
+def _steer(kind, circuit, resource, rows, rng):
+    known = _haar_rows(circuit.num_qubits, rows, rng)
+    fired, outputs = _rsp_rows(resource, known, rng)
+    return outputs, known[fired] @ circuit.unitary.T
 
 
-def _approximate(kind, circuit, resource, rng):
-    target = apply_circuit(circuit, sample_haar_state(circuit.num_qubits, rng))
-    return approximate_output(target, kind.fidelity), target
+def _approximate(kind, circuit, resource, rows, rng):
+    targets = _haar_rows(circuit.num_qubits, rows, rng) @ circuit.unitary.T
+    return _approximate_rows(targets, kind.fidelity), targets
 
 
 @dataclass(frozen=True)
 class Strategy:
-    """One strategy: CLI token, run accounting, analytic score, sampler.
+    """One strategy: CLI token, run accounting, analytic score, chunk sampler.
 
     `score(kind, n, P, N)` is the mean per-trial score, cost excluded.
     `consumes_run` strategies burn one precomputation run every trial,
@@ -279,20 +310,20 @@ def run_game(kind: StrategyKind, circuit: Circuit, params: ScoreParams,
              trials: int, rng: np.random.Generator) -> GameReport:
     """Play `trials` independent rounds of one strategy and count the answers.
 
-    Every answer is graded by the check measurement against the true output.
+    Rounds are played in chunks of a fixed size that depends only on n, each
+    chunk sampled as one array pass and its answers graded by one check
+    measurement against the true outputs.
     """
-    if trials < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
     entry = STRATEGIES[kind.name]
     resource = prepare_offline(circuit) if entry.needs_resource else None
+    chunk = _chunk_rows(circuit.num_qubits)
 
     answered = correct = 0
-    for _ in range(trials):
-        drawn = entry.sample(kind, circuit, resource, rng)
-        if drawn is None:
-            continue
-        answered += 1
-        correct += check_measurement(*drawn, rng)[0]
+    for start in range(0, trials, chunk):
+        answers, corrects = entry.sample(kind, circuit, resource,
+                                         min(chunk, trials - start), rng)
+        answered += len(answers)
+        correct += int(check_measurement(answers, corrects, rng)[0].sum())
 
     return GameReport(kind, circuit.num_qubits, params, trials, answered, correct)
 

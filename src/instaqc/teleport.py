@@ -28,8 +28,9 @@ from .statevec import (
     StateVector,
     _check_size,
     _draw,
+    _draw_rows,
+    _fidelities,
     _targets_to_front,
-    fidelity,
     project_out,
     tensor_product,
 )
@@ -226,6 +227,40 @@ def run_instantaneous(resource: OfflineResource, input_state: StateVector,
                             StateVector(far / np.sqrt(probs[b])))
 
 
+def _bell_rows(resource: OfflineResource, inputs: np.ndarray,
+               rng: np.random.Generator):
+    """`run_instantaneous` on every row of a (B, 2^n) array of inputs.
+
+    Draws rng.random((B, n)) first, so row t uses the uniforms that B
+    sequential `run_instantaneous` calls would give trial t.  Per pair: one
+    matmul with the Bell rows, the weights c^H G_k c as G_k c and a row-wise
+    dot, `_draw_rows` on each row's four weights and a gather of the chosen
+    slice.  Each is one 2-D matmul or elementwise pass over the chunk.  Returns (integer outcome codes as in
+    `BsmOutcome.code`, (B, 2^n) normalized output rows).
+    """
+    rows = len(inputs)
+    uniforms = rng.random((rows, resource.n))
+    picked = np.arange(rows)
+    codes = np.zeros(rows, dtype=np.int64)
+    w = inputs  # per row: [near bits measured so far | input bits left], input lowest
+    for k, gram in enumerate(resource.near_grams):
+        m = gram.shape[0]
+        # (row, near bits 0..k-1, input bits k+1.., outcome, near bit k)
+        c = (w.reshape(-1, 2) @ _BELL_ROWS.T).reshape(rows, m // 2, -1, 4, 2)
+        # near bits 0..k last, little-endian as G_k indexes them
+        near = c.transpose(0, 3, 2, 4, 1).reshape(-1, m)
+        gc = near @ gram.T  # (G_k c)^T = c^T G_k^T, every (row, outcome, rest) at once
+        # Re(c^H G c) as a dot of (re, im) interleaved views
+        probs = np.einsum("tbi,tbi->tb", near.reshape(rows, 4, -1).view(float),
+                          gc.reshape(rows, 4, -1).view(float))
+        b = _draw_rows(probs, uniforms[:, k])
+        codes |= b << (2 * k)
+        w = c[picked, :, :, b].transpose(0, 3, 1, 2)  # near bit k on top
+    side = 1 << resource.n
+    far = w.reshape(rows, side) @ resource.joint_state.amplitudes.reshape(side, side).T
+    return codes, far / np.sqrt(probs[picked, b])[:, None]
+
+
 def force_outcome(resource: OfflineResource, input_state: StateVector,
                   outcome: BsmOutcome):
     """Post-select a specific outcome instead of sampling it.
@@ -289,12 +324,17 @@ def run_with_corrections(result: InstantRunResult, circuit: Circuit):
     return StateVector(circuit.unitary @ (sign * unrun[idx ^ xmask])), 2
 
 
-def check_measurement(output: StateVector, correct: StateVector,
+def check_measurement(outputs: np.ndarray, corrects: np.ndarray,
                       rng: np.random.Generator):
-    """Measure `output` in any orthonormal basis whose first element is `correct`.
+    """Measure each row of `outputs` in any orthonormal basis whose first
+    element is the matching row of `corrects`, both (B, 2^n) arrays.
 
     Only "first element or not" matters, and that is Bernoulli(|<correct|output>|²),
-    so it is one draw, u < p.  Returns (is_O, probability_O).
+    so each row is one draw, u < p, from one rng.random(B) (for B = 1 the
+    same value as rng.random()).  Returns (is_O, probability_O), one entry per row.
     """
-    prob = fidelity(output, correct)
-    return rng.random() < prob, prob
+    if outputs.shape != corrects.shape:
+        raise ValueError(f"qubit counts or row counts differ: shapes "
+                         f"{outputs.shape} vs {corrects.shape}")
+    prob = _fidelities(outputs, corrects)  # row t is fidelity(output_t, correct_t)
+    return rng.random(len(prob)) < prob, prob

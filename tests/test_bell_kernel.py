@@ -14,9 +14,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from instaqc.circuit import random_circuit
 from instaqc.statevec import (
+    StateVector,
+    _haar_rows,
     fidelity,
     measure_in_basis,
     project_out,
@@ -27,6 +30,7 @@ from instaqc.teleport import (
     BELL_BASIS,
     BsmOutcome,
     OfflineResource,
+    _bell_rows,
     _pair_outcome_vector,
     bell_measure_pairs,
     force_outcome,
@@ -149,6 +153,39 @@ def test_run_instantaneous_matches_bell_measure_pairs(kind, n):
         assert result.outcome.code == outcome.code
         assert fidelity(result.output_state, far) >= 1 - 1e-9
         assert fast_rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("kind", sorted(RESOURCES))
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_bell_rows_match_sequential_run_instantaneous(kind, n):
+    """Row t of one chunk is trial t of B one-trial calls on the same seed."""
+    states = np.random.default_rng(650 + n)
+    resource = RESOURCES[kind](n, states)
+    inputs = _haar_rows(n, 40, states)
+    for seed in range(3):
+        fast_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        codes, outputs = _bell_rows(resource, inputs, fast_rng)
+        for row, code, output in zip(inputs, codes, outputs):
+            result = run_instantaneous(resource, StateVector(row), ref_rng)
+            assert code == result.outcome.code
+            assert fidelity(StateVector(output), result.output_state) >= 1 - 1e-9
+        assert fast_rng.random() == ref_rng.random()
+
+
+def test_bell_rows_codes_fit_the_exact_distribution():
+    """Pearson chi^2 of 4e5 sampled codes against `outcome_distribution`, on
+    a Haar joint (non-uniform weights) at n = 2, false-alarm rate 1e-6."""
+    states = np.random.default_rng(660)
+    resource = haar_resource(2, states)
+    psi = sample_haar_state(2, states)
+    expected = outcome_distribution(resource, psi) * 400_000
+    rng = np.random.default_rng(661)
+    counts = np.zeros(16)
+    for _ in range(20):  # chunks of 20000 rows keep the arrays ~10 MiB
+        codes, _ = _bell_rows(resource, np.tile(psi.amplitudes, (20_000, 1)), rng)
+        counts += np.bincount(codes, minlength=16)
+    stat = float(((counts - expected) ** 2 / expected).sum())
+    assert stat < chi2.isf(1e-6, 15), stat
 
 
 @pytest.mark.parametrize("kind", sorted(RESOURCES))

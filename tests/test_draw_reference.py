@@ -4,15 +4,20 @@ check_measurement and rsp_strategy only ask "did the first basis element
 fire?", so each decides with one `_draw` over [p, 1 - p].  The references
 below measure in a full orthonormal basis, as both functions used to; the
 comparisons are of exact values, and a stub generator pins each decision's
-threshold at p.
+threshold at p.  `_draw` and its row-wise form `_draw_rows` are checked
+against the numpy cumsum rule `_draw` replaced, and a chunk of checks
+against one-row checks.
 """
 import numpy as np
 import pytest
 
 from instaqc.circuit import random_circuit
 from instaqc.statevec import (
+    StateVector,
     _draw,
+    _draw_rows,
     basis_state,
+    fidelity,
     measure_in_basis,
     orthonormal_basis_containing,
     outcome_probabilities,
@@ -30,9 +35,9 @@ class FixedDraw:
         self.u = u
         self.draws = 0
 
-    def random(self):
+    def random(self, size=None):
         self.draws += 1
-        return self.u
+        return self.u if size is None else np.full(size, self.u)
 
 
 def _rsp_reference(resource, known):
@@ -46,6 +51,33 @@ def _rsp_reference(resource, known):
     assert outcome == 0
     _, far = project_out(collapsed, range(n), basis[0])
     return prob, far
+
+
+def _draw_by_cumsum(probs, u):
+    """The rule as numpy cumsum + searchsorted, as `_draw` used to run it."""
+    cum = np.cumsum(probs / probs.sum())
+    return min(int(np.searchsorted(cum, u, side="right")), len(probs) - 1)
+
+
+@pytest.mark.parametrize("length", [2, 3, 4, 7, 8, 9, 16])
+def test_draw_matches_cumsum_rule_at_every_boundary(length):
+    """The Python running sum, and the row-wise rule on a chunk holding one
+    row per u, pick what the numpy cumsum picked, with u at each cumulative
+    value and at both of its float neighbours (zeros make repeated
+    boundaries; past 8 terms numpy's total is summed pairwise)."""
+    rng = np.random.default_rng(730 + length)
+    for trial in range(150):
+        probs = rng.random(length) * rng.choice([1e-3, 1.0, 7.0])
+        if trial % 3 == 0:
+            probs[rng.random(length) < 0.3] = 0.0
+        if not probs.any():
+            continue
+        cum = np.cumsum(probs / probs.sum())
+        us = np.concatenate([[0.0], cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0)])
+        expected = [_draw_by_cumsum(probs, u) for u in us]
+        assert [_draw(probs, FixedDraw(u)) for u in us] == expected, probs
+        rows = _draw_rows(np.tile(probs, (len(us), 1)), us)
+        assert rows.tolist() == expected, probs
 
 
 @pytest.mark.parametrize("u, expected", [(0.0, 0), (0.19999, 0), (0.2, 1),
@@ -63,7 +95,8 @@ def test_check_probability_matches_basis_measurement(n):
         output, correct = sample_haar_state(n, rng), sample_haar_state(n, rng)
         basis = orthonormal_basis_containing(correct.amplitudes)
         expected = outcome_probabilities(output, range(n), basis)[0]
-        _, prob = check_measurement(output, correct, FixedDraw(0.5))
+        _, prob = check_measurement(output.amplitudes[None], correct.amplitudes[None],
+                                    FixedDraw(0.5))
         assert abs(prob - expected) <= 1e-12
 
 
@@ -71,18 +104,38 @@ def test_check_probability_matches_basis_measurement(n):
 def test_check_decision_flips_at_p(n):
     rng = np.random.default_rng(710 + n)
     output, correct = sample_haar_state(n, rng), sample_haar_state(n, rng)
-    _, p = check_measurement(output, correct, FixedDraw(0.0))
+    _, p = check_measurement(output.amplitudes[None], correct.amplitudes[None],
+                             FixedDraw(0.0))
     assert 0.0 < p < 1.0 and p != 0.5
     below, at = FixedDraw(np.nextafter(p, 0.0)), FixedDraw(p)
-    assert check_measurement(output, correct, below)[0]
-    assert not check_measurement(output, correct, at)[0]
+    assert check_measurement(output.amplitudes[None], correct.amplitudes[None], below)[0]
+    assert not check_measurement(output.amplitudes[None], correct.amplitudes[None], at)[0]
     assert below.draws == at.draws == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_check_rows_are_one_row_checks(n):
+    """A chunk grades row t as the t-th one-row call on the same seed does,
+    and a one-row call draws the value rng.random() would."""
+    states = np.random.default_rng(715 + n)
+    outputs = np.array([sample_haar_state(n, states).amplitudes for _ in range(50)])
+    corrects = np.array([sample_haar_state(n, states).amplitudes for _ in range(50)])
+    rng, ref_rng, scalar_rng = (np.random.default_rng(n) for _ in range(3))
+    is_O, probs = check_measurement(outputs, corrects, rng)
+    for t in range(50):
+        (row_O,), (row_p,) = check_measurement(outputs[t:t + 1], corrects[t:t + 1], ref_rng)
+        assert (row_O, row_p) == (is_O[t], probs[t])
+        assert row_p == fidelity(StateVector(outputs[t]), StateVector(corrects[t]))
+        assert row_O == (scalar_rng.random() < row_p)
+    assert rng.random() == ref_rng.random() == scalar_rng.random()
 
 
 def test_check_certain_outcomes():
     psi = basis_state(2, 1)
-    assert check_measurement(psi, psi, FixedDraw(np.nextafter(1.0, 0.0)))[0]
-    assert not check_measurement(psi, basis_state(2, 2), FixedDraw(0.0))[0]
+    assert check_measurement(psi.amplitudes[None], psi.amplitudes[None],
+                             FixedDraw(np.nextafter(1.0, 0.0)))[0]
+    assert not check_measurement(psi.amplitudes[None], basis_state(2, 2).amplitudes[None],
+                                 FixedDraw(0.0))[0]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -25,6 +25,7 @@ from instaqc.statevec import (
     project_out,
     sample_haar_state,
     tensor_product,
+    _haar_rows,
     _unitarity_error,
 )
 
@@ -328,6 +329,21 @@ def test_haar_respects_size_limit():
     rng = np.random.default_rng(15)
     with pytest.raises(ValueError, match="limit"):
         sample_haar_state(17, rng)
+    with pytest.raises(ValueError, match="limit"):
+        _haar_rows(17, 1, rng)
+
+
+def test_haar_rows_draw_what_sample_haar_state_draws():
+    """One row is sample_haar_state's draw on the same seed (the row-wise
+    norm can differ in the last bit); many rows are each normalized and
+    have E|a_0|^2 = 2^-n."""
+    for n in (1, 3, 5):
+        row = _haar_rows(n, 1, np.random.default_rng(20 + n))[0]
+        psi = sample_haar_state(n, np.random.default_rng(20 + n))
+        assert np.abs(row - psi.amplitudes).max() <= 1e-15
+    rows = _haar_rows(2, 100000, np.random.default_rng(26))
+    assert np.abs(np.linalg.norm(rows, axis=1) - 1.0).max() < 1e-12
+    assert_within_3sigma(np.abs(rows[:, 0]) ** 2, 0.25)
 
 
 @pytest.mark.parametrize("dim", [2, 4, 8])

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_within_3sigma, per_trial_scores, rate_within_3sigma
+from conftest import assert_within_3sigma, per_trial_scores, rate_within_3sigma, traced_peak
 from instaqc.circuit import Circuit, apply_circuit, random_circuit
 from instaqc.statevec import (
+    StateVector,
+    _haar_rows,
     basis_state,
     fidelity,
     orthonormal_basis_containing,
@@ -22,6 +24,10 @@ from instaqc.strategies import (
     GameReport,
     ScoreParams,
     StrategyKind,
+    _approximate_rows,
+    _chunk_rows,
+    _classical_rows,
+    _rsp_rows,
     approximate,
     approximate_breakeven,
     approximate_output,
@@ -32,7 +38,7 @@ from instaqc.strategies import (
     rsp_strategy,
     run_game,
 )
-from instaqc.teleport import prepare_offline
+from instaqc.teleport import OfflineResource, prepare_offline
 
 
 # --- types ---------------------------------------------------------------------
@@ -73,6 +79,15 @@ def test_game_report_count_invariant():
         GameReport(INSTANTANEOUS, 1, params, 10, 5, 6)
     with pytest.raises(ValueError, match="inconsistent"):
         GameReport(INSTANTANEOUS, 1, params, 10, 11, 0)
+
+
+def test_game_report_rejects_empty_sizes():
+    params = ScoreParams(1.0, 0.0)
+    with pytest.raises(ValueError, match="n >= 1"):
+        GameReport(INSTANTANEOUS, 0, params, 5, 1, 1)
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match="trials >= 1"):
+            GameReport(INSTANTANEOUS, 1, params, trials, 0, 0)
 
 
 # --- analytic scores -------------------------------------------------------------
@@ -200,6 +215,34 @@ def test_rsp_validates_sizes():
         rsp_strategy(prepare_offline(Circuit(2)), basis_state(1, 0), rng)
 
 
+def test_rsp_refuses_near_zero_outcome():
+    """A hand-built resource |0>_near|0>_far supports only near input |0>:
+    an input with |<0|known>|^2 below 1e-12 is refused before any draw, as
+    any projection onto a (near-)zero-probability outcome is; one above it
+    fires and renormalizes."""
+    resource = OfflineResource(basis_state(2, 0))
+
+    class CountingRng:
+        draws = 0
+
+        def random(self, size=None):
+            self.draws += 1
+            return np.zeros(size)
+
+    rng = CountingRng()
+    for p0 in (0.0, 1e-13):
+        known = StateVector(np.array([np.sqrt(p0), np.sqrt(1.0 - p0)]))
+        with pytest.raises(ValueError, match="zero probability"):
+            rsp_strategy(resource, known, rng)
+        with pytest.raises(ValueError, match="zero probability"):
+            _rsp_rows(resource, np.array([[1.0, 0.0], known.amplitudes]), rng)
+    assert rng.draws == 0
+    known = StateVector(np.array([np.sqrt(1e-11), np.sqrt(1.0 - 1e-11)]))
+    answered, output = rsp_strategy(resource, known, rng)
+    assert answered and rng.draws == 1
+    assert fidelity(output, basis_state(1, 0)) > 1 - 1e-9
+
+
 @pytest.mark.parametrize("F", [0.0, 0.3, 0.9, 1.0])
 def test_approximate_output_exact_overlap(F):
     rng = np.random.default_rng(99)
@@ -227,6 +270,65 @@ def test_approximate_output_skips_parallel_candidate():
 def test_approximate_output_validates_fidelity():
     with pytest.raises(ValueError, match="fidelity"):
         approximate_output(basis_state(1, 0), 1.1)
+
+
+# --- chunk kernels: one row each is the one-trial function -------------------------
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_classical_rows_are_one_trial_calls(n):
+    circ = random_circuit(n, 3, np.random.default_rng(120 + n))
+    dim = 1 << n
+    actual, guess = np.divmod(np.arange(dim * dim), dim)  # every pair
+    hit, outputs = _classical_rows(circ, actual, guess)
+    assert hit.sum() == dim and len(outputs) == dim
+    answers = iter(outputs)
+    for a, g, h in zip(actual, guess, hit):
+        answered, output = classical_basis_strategy(circ, int(a), int(g))
+        assert answered == h
+        if answered:
+            assert np.abs(output.amplitudes - next(answers)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_rsp_rows_are_one_trial_calls(n):
+    states = np.random.default_rng(130 + n)
+    resource = prepare_offline(random_circuit(n, 3, states))
+    known = _haar_rows(n, 200, states)
+    rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+    fired, outputs = _rsp_rows(resource, known, rng)
+    assert 0 < fired.sum() < 200
+    answers = iter(outputs)
+    for row, f in zip(known, fired):
+        answered, output = rsp_strategy(resource, StateVector(row), ref_rng)
+        assert answered == f
+        if answered:
+            assert np.abs(output.amplitudes - next(answers)).max() <= 1e-12
+    assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("F", [0.0, 0.3, 0.9, 1.0])
+def test_approximate_rows_are_one_trial_calls(F):
+    corrects = _haar_rows(3, 50, np.random.default_rng(140))
+    corrects[0] = basis_state(3, 0).amplitudes  # the skipped-candidate case
+    rows = _approximate_rows(corrects, F)
+    for correct, row in zip(corrects, rows):
+        one = approximate_output(StateVector(correct), F).amplitudes
+        assert np.abs(one - row).max() <= 1e-15
+
+
+def test_run_game_at_n8_stays_small():
+    """300 trials, one (B, 2^8) pass each, would hold ~20 MiB; in chunks
+    each strategy's arrays stay near 128 KiB, and what remains is the
+    2^16-amplitude resource and its Gram matrices (~3 MiB where built)."""
+    circ = random_circuit(8, 2, np.random.default_rng(150))
+    circ.unitary  # compiled before tracing: 1 MiB, cached on the circuit
+    trials = 300
+    assert trials >= 3 * _chunk_rows(8)
+    for name in STRATEGIES:
+        kind = approximate(0.9) if name == "approximate" else StrategyKind(name)
+        rng = np.random.default_rng(151)
+        peak = traced_peak(lambda: run_game(kind, circ, ScoreParams(1.0, 0.0), trials, rng))
+        assert peak < 4 << 20, (name, peak)
 
 
 # --- run_game ---------------------------------------------------------------------

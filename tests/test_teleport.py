@@ -323,14 +323,15 @@ def test_pure_z_circuit_commutes_with_z_corrections():
 def test_check_measurement_eigenstate():
     rng = np.random.default_rng(80)
     psi = sample_haar_state(2, rng)
-    is_O, prob = check_measurement(psi, psi, rng)
+    is_O, prob = check_measurement(psi.amplitudes[None], psi.amplitudes[None], rng)
     assert is_O
     assert abs(prob - 1.0) < 1e-12
 
 
 def test_check_measurement_orthogonal():
     rng = np.random.default_rng(81)
-    is_O, prob = check_measurement(basis_state(2, 1), basis_state(2, 2), rng)
+    is_O, prob = check_measurement(basis_state(2, 1).amplitudes[None],
+                                    basis_state(2, 2).amplitudes[None], rng)
     assert not is_O
     assert prob == 0.0
 
@@ -338,7 +339,10 @@ def test_check_measurement_orthogonal():
 def test_check_measurement_dimension_mismatch():
     rng = np.random.default_rng(82)
     with pytest.raises(ValueError, match="qubit counts"):
-        check_measurement(basis_state(1, 0), basis_state(2, 0), rng)
+        check_measurement(basis_state(1, 0).amplitudes[None],
+                          basis_state(2, 0).amplitudes[None], rng)
+    with pytest.raises(ValueError, match="row counts"):
+        check_measurement(np.ones((3, 4)) / 2, np.ones((2, 4)) / 2, rng)
 
 
 def test_check_measurement_frequency_matches_fidelity():
@@ -350,7 +354,8 @@ def test_check_measurement_frequency_matches_fidelity():
     trials = 20000
     hits = 0
     for _ in range(trials):
-        is_O, prob = check_measurement(output, correct, rng)
+        (is_O,), (prob,) = check_measurement(output.amplitudes[None],
+                                             correct.amplitudes[None], rng)
         assert prob == expected
         hits += is_O
     rate_within_3sigma(hits, trials, expected)
@@ -360,6 +365,7 @@ def test_check_measurement_haar_mean_quarter():
     """Mean O probability for Haar outputs at n=2 is 2^-n = 1/4."""
     rng = np.random.default_rng(84)
     correct = sample_haar_state(2, rng)
-    probs = [check_measurement(sample_haar_state(2, rng), correct, rng)[1]
+    probs = [check_measurement(sample_haar_state(2, rng).amplitudes[None],
+                               correct.amplitudes[None], rng)[1]
              for _ in range(20000)]
     assert_within_3sigma(probs, 0.25)
