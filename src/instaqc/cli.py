@@ -20,16 +20,19 @@ import json
 import sys
 from dataclasses import asdict
 
+import numpy as np
+
 # numpy.random loads lazily; importing it here keeps that one-off cost in
 # start-up, out of the trial loop of every teleport and game run.
 from numpy.random import Generator, SeedSequence, default_rng
 
-from .circuit import apply_circuit, load_circuit, random_circuit
-from .statevec import MAX_QUBITS, fidelity, sample_haar_state
+from .circuit import load_circuit, random_circuit
+from .statevec import MAX_QUBITS, StateVector, _fidelities, _haar_rows
 from .strategies import (
     STRATEGIES,
     ScoreParams,
     StrategyKind,
+    _chunk_rows,
     game_report_to_dict,
     run_game,
 )
@@ -187,29 +190,40 @@ def _parse_teleport(args):
     return args
 
 
+def _mean_and_min(fids: list[np.ndarray]):
+    """(mean, min) of the fidelities of several chunks; (None, None) for none."""
+    fids = np.concatenate(fids)
+    return (float(fids.mean()), float(fids.min())) if len(fids) else (None, None)
+
+
 def _run_teleport(args) -> str:
+    """Plays the trials in chunks of `_chunk_rows(n)`.  Per chunk: the Haar
+    inputs as one array, one `run_instantaneous` call per row, then the
+    histogram, the targets `inputs @ U.T`, the success fidelities and the
+    repair of every non-trivial row as row-wise passes over the chunk."""
     circ = (args.loaded_circuit if args.circuit
             else random_circuit(args.n, args.depth, _stream(args.seed, 0)))
     n = circ.num_qubits
     resource = prepare_offline(circ)
     rng = _stream(args.seed, 1)
+    chunk = _chunk_rows(n)
 
-    histogram: dict[int, int] = {}
-    success_count = 0
-    success_fids: list[float] = []
-    corrected_fids: list[float] = []
-    for _ in range(args.trials):
-        psi = sample_haar_state(n, rng)
-        result = run_instantaneous(resource, psi, rng)
-        code = result.outcome.code
-        histogram[code] = histogram.get(code, 0) + 1
-        if result.success:
-            success_count += 1
-            success_fids.append(fidelity(result.output_state,
-                                         apply_circuit(circ, psi)))
-        elif args.corrections:
-            corrected, _ = run_with_corrections(result, circ)
-            corrected_fids.append(fidelity(corrected, apply_circuit(circ, psi)))
+    histogram = np.zeros(4**n, dtype=np.int64)
+    success_fids, corrected_fids = [], []
+    for start in range(0, args.trials, chunk):
+        inputs = _haar_rows(n, min(chunk, args.trials - start), rng)
+        results = [run_instantaneous(resource, StateVector(row), rng) for row in inputs]
+        codes = np.array([result.outcome.code for result in results])
+        outputs = np.array([result.output_state.amplitudes for result in results])
+        histogram += np.bincount(codes, minlength=4**n)
+        targets = inputs @ circ.unitary.T
+        ok = codes == 0
+        success_fids.append(_fidelities(outputs[ok], targets[ok]))
+        if args.corrections:
+            corrected, _ = run_with_corrections(codes[~ok], outputs[~ok], circ)
+            corrected_fids.append(_fidelities(corrected, targets[~ok]))
+    success_count = int(histogram[0])
+    mean_success, min_success = _mean_and_min(success_fids)
 
     report = {
         "n": n,
@@ -218,22 +232,22 @@ def _run_teleport(args) -> str:
         "success_count": success_count,
         "success_rate": success_count / args.trials,
         "expected_success_rate": 4.0**-n,
-        "mean_success_fidelity": (sum(success_fids) / len(success_fids)
-                                  if success_fids else None),
-        "min_success_fidelity": min(success_fids, default=None),
+        "mean_success_fidelity": mean_success,
+        "min_success_fidelity": min_success,
     }
     if args.csv:  # the scalar summary above is the CSV row
         return _csv([report])
     report["circuit_file"] = args.circuit
     report["depth"] = None if args.circuit else args.depth
-    report["outcome_histogram"] = {str(k): v for k, v in sorted(histogram.items())}
+    report["outcome_histogram"] = {str(code): int(histogram[code])
+                                   for code in np.flatnonzero(histogram)}
     if args.corrections:
+        mean_corrected, min_corrected = _mean_and_min(corrected_fids)
         report["corrections"] = {
-            "runs": len(corrected_fids),
+            "runs": args.trials - success_count,
             "extra_executions_per_run": 2,
-            "mean_fidelity": (sum(corrected_fids) / len(corrected_fids)
-                              if corrected_fids else None),
-            "min_fidelity": min(corrected_fids, default=None),
+            "mean_fidelity": mean_corrected,
+            "min_fidelity": min_corrected,
         }
     return _json_dumps(report)
 
@@ -264,12 +278,17 @@ def _run_game(args) -> str:
     else:
         circuits = {n: random_circuit(n, args.depth, _stream(args.seed, 0, n))
                     for n in ns}
+    # one offline resource per circuit, shared by every point that samples it
+    resources = {}
+    if any(STRATEGIES[kind.name].needs_resource for kind in args.kinds):
+        resources = {n: prepare_offline(circuit) for n, circuit in circuits.items()}
     points = [(kind, n, params) for kind in args.kinds for n in ns
               for params in args.params]
     reports = []
     for k, (kind, n, params) in enumerate(points):
         rng = _stream(args.seed, 1, k)
-        reports.append(run_game(kind, circuits[n], params, args.trials, rng))
+        reports.append(run_game(kind, circuits[n], params, args.trials, rng,
+                                resource=resources.get(n)))
     rows = [game_report_to_dict(r) for r in reports]
     return _csv(rows) if args.csv else _json_dumps(rows)
 

@@ -288,11 +288,8 @@ def fidelity(a: StateVector, b: StateVector) -> float:
 
 
 def sample_haar_state(num_qubits: int, rng: np.random.Generator) -> StateVector:
-    """Haar-random pure state: normalized vector of iid complex Gaussians."""
-    _check_size(num_qubits)
-    dim = 1 << num_qubits
-    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return StateVector(z / np.linalg.norm(z))
+    """Haar-random pure state: one row of `_haar_rows`."""
+    return StateVector(_haar_rows(num_qubits, 1, rng)[0])
 
 
 def _haar_rows(num_qubits: int, rows: int, rng: np.random.Generator) -> np.ndarray:

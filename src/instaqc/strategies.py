@@ -307,15 +307,19 @@ def expected_score(kind: StrategyKind, n: int, params: ScoreParams) -> float:
 
 
 def run_game(kind: StrategyKind, circuit: Circuit, params: ScoreParams,
-             trials: int, rng: np.random.Generator) -> GameReport:
+             trials: int, rng: np.random.Generator,
+             resource: OfflineResource | None = None) -> GameReport:
     """Play `trials` independent rounds of one strategy and count the answers.
 
     Rounds are played in chunks of a fixed size that depends only on n, each
     chunk sampled as one array pass and its answers graded by one check
-    measurement against the true outputs.
+    measurement against the true outputs.  A strategy that samples from the
+    offline resource uses `resource`, which must be `prepare_offline(circuit)`
+    (so several runs on one circuit can share it), or prepares its own.
     """
     entry = STRATEGIES[kind.name]
-    resource = prepare_offline(circuit) if entry.needs_resource else None
+    if entry.needs_resource and resource is None:
+        resource = prepare_offline(circuit)
     chunk = _chunk_rows(circuit.num_qubits)
 
     answered = correct = 0

@@ -303,25 +303,37 @@ def _parity(values: np.ndarray, bits: int) -> np.ndarray:
     return values & 1
 
 
-def run_with_corrections(result: InstantRunResult, circuit: Circuit):
-    """Repair a non-trivial outcome: un-run the circuit, undo the per-qubit
-    Pauli residues, run the circuit again.
+def run_with_corrections(codes: np.ndarray, outputs: np.ndarray, circuit: Circuit):
+    """Repair every row of a (B, 2^n) array of outputs, row t read with the
+    outcome code codes[t] (as in `BsmOutcome.code`): un-run the circuit,
+    undo the per-qubit Pauli residues, run the circuit again.
 
     The residues X^x Z^z of CORRECTIONS over all qubits form one signed
-    permutation, v'[j] = (-1)^popcount(j & zmask) v[j ^ xmask].
-    Returns (corrected output, extra circuit executions = 2).
+    permutation, v'[j] = (-1)^popcount(j & zmask) v[j ^ xmask], gathered
+    row-wise.  Rows are multiplied from the right: v U^* un-runs, v U^T runs.
+    Code 0 repairs to the output itself.  Returns ((B, 2^n) corrected rows,
+    extra circuit executions per repaired row = 2).
     """
     n = circuit.num_qubits
-    if len(result.outcome.bits) != n:
+    codes = np.asarray(codes)
+    if outputs.ndim != 2 or outputs.shape[1] != 1 << n:
         raise ValueError(
-            f"outcome has {len(result.outcome.bits)} pairs, circuit has {n} qubits")
-    xmask = sum(x << i for i, (x, _) in enumerate(result.outcome.bits))
-    zmask = sum(z << i for i, (_, z) in enumerate(result.outcome.bits))
+            f"outputs must be (rows, {1 << n}) for {n} qubits, got {outputs.shape}")
+    if codes.shape != (len(outputs),):
+        raise ValueError(f"row counts differ: {codes.shape} codes, "
+                         f"{len(outputs)} output rows")
+    if codes.size and not 0 <= codes.min() <= codes.max() < 4**n:
+        raise ValueError(f"outcome codes must lie in [0, {4**n}) for {n} pairs")
+    xmask = np.zeros_like(codes)
+    zmask = np.zeros_like(codes)
+    for i in range(n):
+        xmask |= (codes >> (2 * i) & 1) << i
+        zmask |= (codes >> (2 * i + 1) & 1) << i
     idx = np.arange(1 << n)
-    sign = 1 - 2 * _parity(idx & zmask, n)
-    # U^dag psi as conj(conj(psi) U): un-runs the circuit without copying U
-    unrun = (result.output_state.amplitudes.conj() @ circuit.unitary).conj()
-    return StateVector(circuit.unitary @ (sign * unrun[idx ^ xmask])), 2
+    unrun = outputs @ circuit.unitary.conj()
+    fixed = np.take_along_axis(unrun, idx ^ xmask[:, np.newaxis], axis=1)
+    fixed *= 1 - 2 * _parity(idx & zmask[:, np.newaxis], n)
+    return fixed @ circuit.unitary.T, 2
 
 
 def check_measurement(outputs: np.ndarray, corrects: np.ndarray,

@@ -12,9 +12,17 @@ import pytest
 import instaqc
 from conftest import traced_peak
 from instaqc.circuit import Circuit, random_circuit, save_circuit
-from instaqc.cli import _fmt, _json_dumps, _parse_int_list, _parse_strategy_token, main
-from instaqc.statevec import GateMatrix
-from instaqc.strategies import STRATEGIES
+from instaqc.cli import (
+    _fmt,
+    _json_dumps,
+    _parse_int_list,
+    _parse_strategy_token,
+    _stream,
+    main,
+)
+from instaqc.statevec import GateMatrix, _haar_rows
+from instaqc.strategies import STRATEGIES, _chunk_rows
+from instaqc.teleport import _bell_rows, prepare_offline
 from instaqc.timeline import TimelineReport
 
 
@@ -44,6 +52,38 @@ def test_teleport_success_outputs_are_exact(capsys):
     assert doc["corrections"]["min_fidelity"] > 1 - 1e-9
     assert doc["corrections"]["extra_executions_per_run"] == 2
     assert doc["corrections"]["runs"] == 200 - doc["success_count"]
+
+
+@pytest.mark.parametrize("n, trials", [(1, 1000), (2, 500), (3, 250)])
+def test_teleport_histogram_is_the_batched_kernel_on_the_same_streams(capsys, n, trials):
+    """Each run_instantaneous call draws its n uniforms in pair order, as
+    one row of _bell_rows does, so the chunked CLI's histogram equals a
+    _bell_rows recomputation chunk by chunk (several chunks, the last one
+    partial)."""
+    assert trials > 2 * _chunk_rows(n)
+    code, out, _ = run_cli(capsys, "teleport", "--n", str(n), "--depth", "3",
+                           "--trials", str(trials), "--seed", "5", "--corrections")
+    assert code == 0
+    resource = prepare_offline(random_circuit(n, 3, _stream(5, 0)))
+    rng = _stream(5, 1)
+    histogram = np.zeros(4**n, dtype=int)
+    for start in range(0, trials, _chunk_rows(n)):
+        inputs = _haar_rows(n, min(_chunk_rows(n), trials - start), rng)
+        histogram += np.bincount(_bell_rows(resource, inputs, rng)[0], minlength=4**n)
+    expected = {str(c): int(histogram[c]) for c in np.flatnonzero(histogram)}
+    assert json.loads(out)["outcome_histogram"] == expected
+
+
+def test_teleport_at_the_size_limit_stays_small(tmp_path):
+    """n = 8 with repairs: the 1 MiB joint state (and its copies while the
+    circuit runs on it), the 1 MiB unitary, 1.3 MiB of near-block Grams and a
+    0.5 MiB histogram; the chunks themselves are 3 rows."""
+    argv = ["teleport", "--n", "8", "--depth", "2", "--trials", "20",
+            "--corrections", "--out", str(tmp_path / "out.json")]
+    assert traced_peak(lambda: main(argv)) < 8 << 20
+    doc = json.loads((tmp_path / "out.json").read_text())
+    assert doc["corrections"]["runs"] == 20 - doc["success_count"]
+    assert doc["corrections"]["min_fidelity"] > 1 - 1e-9
 
 
 def test_teleport_rejects_zero_n(capsys):
@@ -317,6 +357,24 @@ def test_non_unitary_circuit_file_is_bad_input(monkeypatch, tmp_path, capsys, co
     assert code == 2
     assert out == ""
     assert "not unitary" in err
+
+
+def test_game_prepares_one_resource_per_circuit(monkeypatch, capsys):
+    """Every point of a sweep that samples the resource shares its circuit's."""
+    prepared = []
+
+    def counting(circuit):
+        prepared.append(circuit.num_qubits)
+        return prepare_offline(circuit)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("run_game prepared its own resource")
+    monkeypatch.setattr("instaqc.cli.prepare_offline", counting)
+    monkeypatch.setattr("instaqc.strategies.prepare_offline", forbidden)
+    code, _, _ = run_cli(capsys, "game", "--n", "1:2", "--strategies",
+                         "instant,rsp,random", "--penalty", "0,10", "--trials", "50")
+    assert code == 0
+    assert prepared == [1, 2]
 
 
 def test_game_determinism(tmp_path, capsys):

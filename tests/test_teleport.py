@@ -27,7 +27,6 @@ from instaqc.teleport import (
     BELL_BASIS,
     CORRECTIONS,
     BsmOutcome,
-    InstantRunResult,
     OfflineResource,
     bell_measure_pairs,
     check_measurement,
@@ -238,6 +237,13 @@ def test_run_instantaneous_dimension_mismatch():
         run_instantaneous(res, basis_state(2, 0), rng)
 
 
+def _forced_outputs(res, psi):
+    """The far-block output of every outcome code, one row per code."""
+    n = res.n
+    return np.array([force_outcome(res, psi, BsmOutcome.from_code(n, code))[1]
+                     .output_state.amplitudes for code in range(4**n)])
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_corrections_restore_every_outcome(n):
     rng = np.random.default_rng(70 + n)
@@ -246,11 +252,30 @@ def test_corrections_restore_every_outcome(n):
         res = prepare_offline(circ)
         psi = sample_haar_state(n, rng)
         target = apply_circuit(circ, psi)
-        for code in range(4**n):
-            _, result = force_outcome(res, psi, BsmOutcome.from_code(n, code))
-            fixed, extra = run_with_corrections(result, circ)
-            assert extra == 2
-            assert fidelity(fixed, target) > 1 - 1e-9
+        fixed, extra = run_with_corrections(np.arange(4**n),
+                                            _forced_outputs(res, psi), circ)
+        assert extra == 2
+        assert min(fidelity(StateVector(row), target) for row in fixed) > 1 - 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_row_repair_matches_force_outcome_on_every_code(n):
+    """One call over all 4^n forced outputs restores U psi on every row, and
+    row t is what a one-row call on code t returns (up to the rounding of a
+    one-row matmul against a many-row one)."""
+    rng = np.random.default_rng(90 + n)
+    circ = random_circuit(n, 4, rng)
+    res = prepare_offline(circ)
+    psi = sample_haar_state(n, rng)
+    outputs = _forced_outputs(res, psi)
+    codes = np.arange(4**n)
+    fixed, extra = run_with_corrections(codes, outputs, circ)
+    assert extra == 2 and fixed.shape == outputs.shape
+    target = circ.unitary @ psi.amplitudes
+    assert np.abs(fixed.conj() @ target).min() ** 2 >= 1 - 1e-9
+    for code in codes:
+        one, _ = run_with_corrections(codes[code:code + 1], outputs[code:code + 1], circ)
+        assert np.abs(one[0] - fixed[code]).max() <= 1e-12
 
 
 def test_corrections_on_trivial_outcome_are_identity():
@@ -259,16 +284,28 @@ def test_corrections_on_trivial_outcome_are_identity():
     res = prepare_offline(circ)
     psi = sample_haar_state(2, rng)
     _, result = force_outcome(res, psi, BsmOutcome.from_code(2, 0))
-    fixed, _ = run_with_corrections(result, circ)
-    assert fidelity(fixed, result.output_state) > 1 - 1e-9
+    fixed, _ = run_with_corrections(np.array([0]), result.output_state.amplitudes[None],
+                                    circ)
+    assert fidelity(StateVector(fixed[0]), result.output_state) > 1 - 1e-9
 
 
 def test_corrections_outcome_length_mismatch():
+    """A width that is not 2^n, a row-count mismatch and a code >= 4^n are
+    each rejected."""
     rng = np.random.default_rng(73)
     res = prepare_offline(Circuit(1))
     result = run_instantaneous(res, basis_state(1, 0), rng)
-    with pytest.raises(ValueError, match="pairs"):
-        run_with_corrections(result, Circuit(2))
+    row = result.output_state.amplitudes[None]
+    with pytest.raises(ValueError, match="qubits"):
+        run_with_corrections(np.array([result.outcome.code]), row, Circuit(2))
+    with pytest.raises(ValueError, match="qubits"):
+        run_with_corrections(np.array([0]), row[0], Circuit(1))
+    with pytest.raises(ValueError, match="row counts"):
+        run_with_corrections(np.array([0, 1]), row, Circuit(1))
+    with pytest.raises(ValueError, match="codes must lie"):
+        run_with_corrections(np.array([4]), row, Circuit(1))
+    with pytest.raises(ValueError, match="codes must lie"):
+        run_with_corrections(np.array([-1]), row, Circuit(1))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -280,15 +317,14 @@ def test_repair_permutation_matches_corrections_gate_by_gate(n):
     u = circ.unitary
     output = sample_haar_state(n, rng)
     unrun = StateVector(u.conj().T @ output.amplitudes)
+    fixed, _ = run_with_corrections(np.arange(4**n),
+                                    np.tile(output.amplitudes, (4**n, 1)), circ)
     for code in range(4**n):
-        outcome = BsmOutcome.from_code(n, code)
         expected = unrun
-        for i, key in enumerate(outcome.bits):
+        for i, key in enumerate(BsmOutcome.from_code(n, code).bits):
             for gate in CORRECTIONS[key]:
                 expected = apply_gate(expected, gate, [i])
-        result = InstantRunResult(outcome, output)
-        fixed, _ = run_with_corrections(result, circ)
-        assert np.abs(fixed.amplitudes - u @ expected.amplitudes).max() <= 1e-12
+        assert np.abs(fixed[code] - u @ expected.amplitudes).max() <= 1e-12
 
 
 def _z_rotation(theta):
@@ -314,8 +350,9 @@ def test_pure_z_circuit_commutes_with_z_corrections():
     shortcut = apply_gate(apply_gate(result.output_state, Z, [0]), Z, [1])
     assert fidelity(shortcut, target) > 1 - 1e-9
     # and the general invert-correct-rerun path agrees
-    fixed, _ = run_with_corrections(result, circ)
-    assert fidelity(fixed, shortcut) > 1 - 1e-9
+    fixed, _ = run_with_corrections(np.array([outcome.code]),
+                                    result.output_state.amplitudes[None], circ)
+    assert fidelity(StateVector(fixed[0]), shortcut) > 1 - 1e-9
 
 
 # --- check measurement ---------------------------------------------------------
