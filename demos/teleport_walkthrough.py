@@ -10,7 +10,6 @@ other outcome is fixable if you are willing to run the circuit twice more.
 import numpy as np
 
 from instaqc import (
-    BsmOutcome,
     StateVector,
     apply_circuit,
     check_measurement,
@@ -31,6 +30,12 @@ circuit = random_circuit(n, depth=3, rng=rng)
 psi = sample_haar_state(n, rng)
 target = apply_circuit(circuit, psi)
 
+
+def digits(code: int) -> list[tuple[int, int]]:
+    """The (x, z) bits of each pair, read off base-4 digit i = x_i + 2 z_i."""
+    return [(code >> (2 * i) & 1, code >> (2 * i + 1) & 1) for i in range(n)]
+
+
 print(f"n = {n} qubits, circuit depth 3, Haar-random input")
 print()
 
@@ -47,7 +52,7 @@ print(f"outcome distribution: {len(dist)} outcomes, "
 print()
 
 # Branch 1: the lucky outcome. The far block already holds U|psi>.
-prob, result = force_outcome(resource, psi, BsmOutcome.from_code(n, 0))
+prob, result = force_outcome(resource, psi, 0)
 out_fidelity = fidelity(result.output_state, target)
 print(f"all-trivial outcome (probability {prob:.4f} = 4^-{n}):")
 print(f"  fidelity to U|psi> = {out_fidelity:.15f}, no further work needed")
@@ -57,16 +62,15 @@ print()
 # Pauli-mangled input; undo U, repair the Paulis, rerun U.
 # The repair takes every outcome at once: one row per outcome code.
 print("forced sweep over all outcomes, repaired by the correction path:")
-codes = np.arange(4**n)
-outputs = np.array([force_outcome(resource, psi, BsmOutcome.from_code(n, code))[1]
-                    .output_state.amplitudes for code in codes])
-fixed, extra = run_with_corrections(codes, outputs, circuit)
-for code in codes:
+outputs = np.array([force_outcome(resource, psi, code)[1]
+                    .output_state.amplitudes for code in range(4**n)])
+fixed, extra = run_with_corrections(np.arange(4**n), outputs, circuit)
+for code in range(4**n):
     # code 0 needs no repair: its row is used as it stands
     row = outputs[code] if code == 0 else fixed[code]
     f = fidelity(StateVector(row), target)
     tag = "free" if code == 0 else f"{extra} extra circuit executions"
-    print(f"  outcome {BsmOutcome.from_code(n, code).bits} -> fidelity {f:.12f} ({tag})")
+    print(f"  outcome {code:2d} {digits(code)} -> fidelity {f:.12f} ({tag})")
 print()
 
 # A sampled run, graded the way the game grades it: project onto a basis
@@ -74,7 +78,7 @@ print()
 result = run_instantaneous(resource, psi, rng)
 (is_O,), (prob_O,) = check_measurement(result.output_state.amplitudes[None],
                                        target.amplitudes[None], rng)
-print(f"one sampled run: outcome {result.outcome.bits}, "
+print(f"one sampled run: outcome {result.code} {digits(result.code)}, "
       f"success = {result.success}")
 print(f"  check measurement: fired correct = {is_O}, "
       f"exact probability of firing correct = {prob_O:.6f}")

@@ -39,7 +39,6 @@ from .circuit import (
 from .teleport import (
     BELL_BASIS,
     CORRECTIONS,
-    BsmOutcome,
     InstantRunResult,
     OfflineResource,
     bell_measure_pairs,

@@ -122,9 +122,15 @@ def circuit_to_dict(circuit: Circuit) -> dict:
 
 
 def circuit_from_dict(doc: dict) -> Circuit:
+    if not isinstance(doc, dict):
+        raise ValueError("circuit must be a JSON object")
     gates: list[Gate] = []
     try:
+        if not isinstance(doc["gates"], list):
+            raise ValueError(f"gates must be a list, got {doc['gates']!r}")
         for entry in doc["gates"]:
+            if not isinstance(entry, dict):
+                raise ValueError(f"each gate must be a JSON object, got {entry!r}")
             # type() is int, not isinstance: a JSON true must not pass as 1
             targets = entry["targets"]
             if type(targets) is not list or any(type(t) is not int for t in targets):

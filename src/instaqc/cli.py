@@ -213,7 +213,7 @@ def _run_teleport(args) -> str:
     for start in range(0, args.trials, chunk):
         inputs = _haar_rows(n, min(chunk, args.trials - start), rng)
         results = [run_instantaneous(resource, StateVector(row), rng) for row in inputs]
-        codes = np.array([result.outcome.code for result in results])
+        codes = np.array([result.code for result in results])
         outputs = np.array([result.output_state.amplitudes for result in results])
         histogram += np.bincount(codes, minlength=4**n)
         targets = inputs @ circ.unitary.T

@@ -7,11 +7,14 @@ arrives, a Bell-state measurement of each (input_i, near_i) pair either
 projects the far block directly onto circuit(input) (the all-trivial outcome)
 or leaves a known per-qubit Pauli residue to repair.
 
-Bell outcomes are encoded as bit pairs (x, z): (0,0) = Φ⁺, (1,0) = Ψ⁺,
-(0,1) = Φ⁻, (1,1) = Ψ⁻.  On outcome (x, z) the far block holds the circuit
-applied to X^x Z^z of the true input (per qubit), so the repair after
-un-running the circuit is: apply X, then Z.  CORRECTIONS below is frozen
-against an exhaustive single-qubit oracle kept in the tests.
+A pair's outcome is two bits (x, z): (0,0) = Φ⁺, (1,0) = Ψ⁺, (0,1) = Φ⁻,
+(1,1) = Ψ⁻, its row x + 2z in BELL_BASIS.  The outcome of all n pairs is one
+integer code, the base-4 number whose digit i (pair 0 least significant) is
+pair i's row: code >> 2i & 3.  Code 0 is the all-trivial outcome.  On outcome
+(x, z) the far block holds the circuit applied to X^x Z^z of the true input
+(per qubit), so the repair after un-running the circuit is: apply X, then Z.
+CORRECTIONS below is frozen against an exhaustive single-qubit oracle kept in
+the tests.
 """
 from __future__ import annotations
 
@@ -61,35 +64,6 @@ CORRECTIONS: dict[tuple[int, int], tuple[GateMatrix, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class BsmOutcome:
-    """One (x, z) bit pair per input qubit, pair i at position i."""
-
-    bits: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        bits = tuple((int(x), int(z)) for x, z in self.bits)
-        for x, z in bits:
-            if x not in (0, 1) or z not in (0, 1):
-                raise ValueError(f"outcome bits must be 0/1, got {self.bits}")
-        object.__setattr__(self, "bits", bits)
-
-    def all_trivial(self) -> bool:
-        return all(x == 0 and z == 0 for x, z in self.bits)
-
-    @property
-    def code(self) -> int:
-        """Integer form: base-4 digits x_i + 2 z_i, pair 0 least significant."""
-        return sum((x + 2 * z) << (2 * i) for i, (x, z) in enumerate(self.bits))
-
-    @classmethod
-    def from_code(cls, n: int, code: int) -> "BsmOutcome":
-        if not 0 <= code < 4**n:
-            raise ValueError(f"code {code} out of range for {n} pairs")
-        return cls(tuple((code >> (2 * i) & 1, code >> (2 * i + 1) & 1)
-                         for i in range(n)))
-
-
 @dataclass(frozen=True, eq=False)
 class OfflineResource:
     """Entangled 2n-qubit state with the circuit already run on the far block."""
@@ -134,13 +108,13 @@ class OfflineResource:
 
 @dataclass(frozen=True, eq=False)
 class InstantRunResult:
-    outcome: BsmOutcome
+    code: int
     output_state: StateVector
 
     @property
     def success(self) -> bool:
         """The output is ready as it stands: every pair read Φ⁺."""
-        return self.outcome.all_trivial()
+        return self.code == 0
 
 
 def make_bell_pairs(n: int) -> StateVector:
@@ -161,14 +135,14 @@ def prepare_offline(circuit: Circuit) -> OfflineResource:
     return OfflineResource(apply_circuit(circuit, make_bell_pairs(n), offset=n))
 
 
-def _pair_outcome_vector(n: int, bits) -> np.ndarray:
-    """Product of Bell vectors over pairs, as one vector on the 2n measured
-    qubits (targets ordered 0..2n-1, pair i on bits (i, n+i))."""
+def _pair_outcome_vector(n: int, code: int) -> np.ndarray:
+    """Product of the Bell vectors that `code` names, as one vector on the 2n
+    measured qubits (targets ordered 0..2n-1, pair i on bits (i, n+i))."""
     idx = np.arange(1 << (2 * n))
     v = np.ones(1 << (2 * n), dtype=complex)
-    for i, (x, z) in enumerate(bits):
+    for i in range(n):
         sub = ((idx >> i) & 1) | (((idx >> (n + i)) & 1) << 1)
-        v *= BELL_BASIS[x + 2 * z][sub]
+        v *= BELL_BASIS[code >> (2 * i) & 3][sub]
     return v
 
 
@@ -178,15 +152,15 @@ def bell_measure_pairs(joint: StateVector, rng: np.random.Generator):
     `joint` must hold 3n qubits laid out [input | near | far].  Each pair is
     contracted with the four Bell vectors out of what is left, takes one
     `_draw`, and keeps the chosen slice renormalized, so the register loses
-    two qubits per pair.  Returns the outcome and the renormalized n-qubit
-    far-block state.
+    two qubits per pair.  Returns the outcome code and the renormalized
+    n-qubit far-block state.
     """
     if joint.num_qubits % 3 != 0:
         raise ValueError(f"{joint.num_qubits} qubits does not split into 3 blocks")
-    side = 1 << (joint.num_qubits // 3)
-    state = joint.amplitudes.reshape(side, side, side)  # (far, near, input)
-    bits = []
-    while state.shape[1] > 1:
+    n = joint.num_qubits // 3
+    state = joint.amplitudes.reshape(1 << n, 1 << n, 1 << n)  # (far, near, input)
+    code = 0
+    for k in range(n):
         far, near, inp = state.shape
         split = state.reshape(far, near // 2, 2, inp // 2, 2)
         # (4, far, near/2, input/2): the lowest (near, input) pair contracted
@@ -194,9 +168,9 @@ def bell_measure_pairs(joint: StateVector, rng: np.random.Generator):
         flat = proj.reshape(4, -1).view(float)  # (re, im) interleaved
         probs = np.einsum("ij,ij->i", flat, flat)
         b = _draw(probs, rng)
-        bits.append((b & 1, b >> 1))
+        code |= b << (2 * k)
         state = proj[b] / np.sqrt(probs[b])
-    return BsmOutcome(tuple(bits)), StateVector(state.reshape(-1))
+    return code, StateVector(state.reshape(-1))
 
 
 def run_instantaneous(resource: OfflineResource, input_state: StateVector,
@@ -213,18 +187,17 @@ def run_instantaneous(resource: OfflineResource, input_state: StateVector,
     """
     resource._check_input(input_state)
     w = input_state.amplitudes
-    bits = []
-    for gram in resource.near_grams:
+    code = 0
+    for k, gram in enumerate(resource.near_grams):
         # (4, near bits 0..k, input bits k+1..): input bit k contracted
         c = (_BELL_ROWS @ w.reshape(-1, 2).T).reshape(4, gram.shape[0], -1)
         probs = (c.conj() * (gram @ c)).sum(axis=(1, 2)).real  # c^H G c
         b = _draw(probs, rng)
-        bits.append((b & 1, b >> 1))
+        code |= b << (2 * k)
         w = c[b]
     side = 1 << resource.n
     far = resource.joint_state.amplitudes.reshape(side, side) @ w[:, 0]
-    return InstantRunResult(BsmOutcome(tuple(bits)),
-                            StateVector(far / np.sqrt(probs[b])))
+    return InstantRunResult(code, StateVector(far / np.sqrt(probs[b])))
 
 
 def _bell_rows(resource: OfflineResource, inputs: np.ndarray,
@@ -235,8 +208,8 @@ def _bell_rows(resource: OfflineResource, inputs: np.ndarray,
     sequential `run_instantaneous` calls would give trial t.  Per pair: one
     matmul with the Bell rows, the weights c^H G_k c as G_k c and a row-wise
     dot, `_draw_rows` on each row's four weights and a gather of the chosen
-    slice.  Each is one 2-D matmul or elementwise pass over the chunk.  Returns (integer outcome codes as in
-    `BsmOutcome.code`, (B, 2^n) normalized output rows).
+    slice.  Each is one 2-D matmul or elementwise pass over the chunk.
+    Returns (outcome codes, (B, 2^n) normalized output rows).
     """
     rows = len(inputs)
     uniforms = rng.random((rows, resource.n))
@@ -261,34 +234,31 @@ def _bell_rows(resource: OfflineResource, inputs: np.ndarray,
     return codes, far / np.sqrt(probs[picked, b])[:, None]
 
 
-def force_outcome(resource: OfflineResource, input_state: StateVector,
-                  outcome: BsmOutcome):
-    """Post-select a specific outcome instead of sampling it.
+def force_outcome(resource: OfflineResource, input_state: StateVector, code: int):
+    """Post-select the outcome `code` instead of sampling it.
 
     Returns (probability of that outcome, InstantRunResult).  Exists so tests
     can cover all 4^n outcomes without rejection sampling.
     """
     n = resource.n
-    if len(outcome.bits) != n:
-        raise ValueError(f"outcome has {len(outcome.bits)} pairs, expected {n}")
+    if not 0 <= code < 4**n:
+        raise ValueError(f"code {code} out of range for {n} pairs")
     resource._check_input(input_state)
     joint = tensor_product(input_state, resource.joint_state)
-    prob, far = project_out(joint, range(2 * n),
-                            _pair_outcome_vector(n, outcome.bits))
-    return prob, InstantRunResult(outcome, far)
+    prob, far = project_out(joint, range(2 * n), _pair_outcome_vector(n, code))
+    return prob, InstantRunResult(code, far)
 
 
 def outcome_distribution(resource: OfflineResource,
                          input_state: StateVector) -> np.ndarray:
-    """Exact probability of every outcome, indexed by BsmOutcome.code."""
+    """Exact probability of every outcome, indexed by its code."""
     n = resource.n
     resource._check_input(input_state)
     joint = tensor_product(input_state, resource.joint_state)
     mat = _targets_to_front(joint, list(range(2 * n)))
     probs = np.empty(4**n)
     for code in range(4**n):
-        bits = BsmOutcome.from_code(n, code).bits
-        proj = _pair_outcome_vector(n, bits).conj() @ mat
+        proj = _pair_outcome_vector(n, code).conj() @ mat
         probs[code] = np.vdot(proj, proj).real
     return probs
 
@@ -305,8 +275,8 @@ def _parity(values: np.ndarray, bits: int) -> np.ndarray:
 
 def run_with_corrections(codes: np.ndarray, outputs: np.ndarray, circuit: Circuit):
     """Repair every row of a (B, 2^n) array of outputs, row t read with the
-    outcome code codes[t] (as in `BsmOutcome.code`): un-run the circuit,
-    undo the per-qubit Pauli residues, run the circuit again.
+    outcome code codes[t]: un-run the circuit, undo the per-qubit Pauli
+    residues, run the circuit again.
 
     The residues X^x Z^z of CORRECTIONS over all qubits form one signed
     permutation, v'[j] = (-1)^popcount(j & zmask) v[j ^ xmask], gathered

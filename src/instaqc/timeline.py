@@ -79,6 +79,8 @@ def simulate_timeline(config: TimelineConfig) -> TimelineReport:
 
 def timeline_config_from_dict(doc: dict) -> TimelineConfig:
     """Build a config from parsed JSON, rejecting unknown keys."""
+    if not isinstance(doc, dict):
+        raise ValueError("timeline config must be a JSON object")
     names = [f.name for f in fields(TimelineConfig)]
     unknown = set(doc) - set(names)
     if unknown:

@@ -32,7 +32,6 @@ from instaqc.strategies import (
     run_game,
 )
 from instaqc.teleport import (
-    BsmOutcome,
     _bell_rows,
     check_measurement,
     force_outcome,
@@ -118,7 +117,7 @@ def test_criterion_03_corrections_complete():
             psi = sample_haar_state(n, rng)
             target = apply_circuit(circuit, psi)
             outputs = np.array([
-                force_outcome(resource, psi, BsmOutcome.from_code(n, code))[1]
+                force_outcome(resource, psi, code)[1]
                 .output_state.amplitudes for code in range(4**n)])
             fixed, extra = run_with_corrections(np.arange(4**n), outputs, circuit)
             extras.add(extra)

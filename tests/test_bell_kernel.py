@@ -28,7 +28,6 @@ from instaqc.statevec import (
 )
 from instaqc.teleport import (
     BELL_BASIS,
-    BsmOutcome,
     OfflineResource,
     _bell_rows,
     _pair_outcome_vector,
@@ -44,7 +43,7 @@ class ForcedDigits:
     """Stands in for a Generator.  Call i of random() returns the middle of
     the interval that the package's draw rule maps to base-4 digit i of
     `code`, under the exact conditional distribution of pair i given the
-    earlier digits (`dist` is indexed by BsmOutcome.code)."""
+    earlier digits (`dist` is indexed by outcome code)."""
 
     def __init__(self, dist: np.ndarray, n: int, code: int):
         codes = np.arange(4**n)
@@ -68,13 +67,13 @@ def sequential_bell_measure(joint, rng):
     """Reference: collapse one pair at a time on the full 3n-qubit register,
     then strip all pairs with one product-vector projection."""
     n = joint.num_qubits // 3
-    bits = []
+    code = 0
     state = joint
     for i in range(n):
         b, _, state = measure_in_basis(state, [i, n + i], BELL_BASIS, rng)
-        bits.append((b & 1, b >> 1))
-    _, far = project_out(state, range(2 * n), _pair_outcome_vector(n, bits))
-    return BsmOutcome(tuple(bits)), far
+        code |= b << (2 * i)
+    _, far = project_out(state, range(2 * n), _pair_outcome_vector(n, code))
+    return code, far
 
 
 def haar_resource(n: int, rng) -> OfflineResource:
@@ -94,17 +93,17 @@ def _forced_codes_match_exact_reference(resource, psi):
     joint = tensor_product(psi, resource.joint_state)
     dist = outcome_distribution(resource, psi)
     for code in range(4**n):
-        _, expected = force_outcome(resource, psi, BsmOutcome.from_code(n, code))
+        _, expected = force_outcome(resource, psi, code)
         stub = ForcedDigits(dist, n, code)
         result = run_instantaneous(resource, psi, stub)
         assert stub.calls == n
-        assert result.outcome.code == code
+        assert result.code == code
         assert result.success == (code == 0)
         assert fidelity(result.output_state, expected.output_state) >= 1 - 1e-9
         stub = ForcedDigits(dist, n, code)
         outcome, far = bell_measure_pairs(joint, stub)
         assert stub.calls == n
-        assert outcome.code == code
+        assert outcome == code
         assert fidelity(far, expected.output_state) >= 1 - 1e-9
     return dist
 
@@ -133,7 +132,7 @@ def test_haar_joint_matches_sequential_collapses(n):
         fast_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         outcome, far = bell_measure_pairs(joint, fast_rng)
         ref_outcome, ref_far = sequential_bell_measure(joint, ref_rng)
-        assert outcome.code == ref_outcome.code
+        assert outcome == ref_outcome
         assert fidelity(far, ref_far) >= 1 - 1e-9
         # one uniform per pair on both paths: the streams stay in step
         assert fast_rng.random() == ref_rng.random()
@@ -150,7 +149,7 @@ def test_run_instantaneous_matches_bell_measure_pairs(kind, n):
         fast_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         result = run_instantaneous(resource, psi, fast_rng)
         outcome, far = bell_measure_pairs(joint, ref_rng)
-        assert result.outcome.code == outcome.code
+        assert result.code == outcome
         assert fidelity(result.output_state, far) >= 1 - 1e-9
         assert fast_rng.random() == ref_rng.random()
 
@@ -167,7 +166,7 @@ def test_bell_rows_match_sequential_run_instantaneous(kind, n):
         codes, outputs = _bell_rows(resource, inputs, fast_rng)
         for row, code, output in zip(inputs, codes, outputs):
             result = run_instantaneous(resource, StateVector(row), ref_rng)
-            assert code == result.outcome.code
+            assert code == result.code
             assert fidelity(StateVector(output), result.output_state) >= 1 - 1e-9
         assert fast_rng.random() == ref_rng.random()
 

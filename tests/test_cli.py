@@ -483,6 +483,26 @@ def test_circuit_file_json_types(tmp_path, capsys, command, doc, field):
     assert field in err
 
 
+@pytest.mark.parametrize("doc, message", [
+    ([_H], "circuit must be a JSON object"),
+    ({"num_qubits": 1, "gates": {"0": _H}}, "gates must be a list"),
+    ({"num_qubits": 1, "gates": "H"}, "gates must be a list"),
+    ({"num_qubits": 1, "gates": ["H"]}, "each gate must be a JSON object"),
+    ({"num_qubits": 1, "gates": [[0]]}, "each gate must be a JSON object"),
+])
+@pytest.mark.parametrize("flags", [(), ("--csv",)])
+@pytest.mark.parametrize("command", ["teleport", "game"])
+def test_circuit_file_of_the_wrong_shape_is_bad_input(tmp_path, capsys, command, flags,
+                                                      doc, message):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, command, "--circuit", str(path), "--trials", "5",
+                             *flags)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def _feed_stdin(monkeypatch, doc):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
 
@@ -552,6 +572,25 @@ def test_timeline_fields_must_be_numbers(monkeypatch, capsys, field, value):
     assert code == 2
     assert out == ""
     assert repr(field) in err
+
+
+@pytest.mark.parametrize("doc", [list(TIMELINE)[:-1], "t1", 3, None])
+@pytest.mark.parametrize("flags", [(), ("--csv",)])
+@pytest.mark.parametrize("source", ["stdin", "config"])
+def test_timeline_config_that_is_not_an_object_is_bad_input(monkeypatch, tmp_path,
+                                                            capsys, source, flags, doc):
+    """A JSON array of the field names, a string and the rest are each
+    rejected as a whole, not read as a sequence of keys."""
+    if source == "stdin":
+        _feed_stdin(monkeypatch, doc)
+    else:
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc))
+        flags = ("--config", str(path), *flags)
+    code, out, err = run_cli(capsys, "timeline", *flags)
+    assert code == 2
+    assert out == ""
+    assert "timeline config must be a JSON object" in err
 
 
 def test_timeline_rejects_bad_json(monkeypatch, capsys):

@@ -27,7 +27,6 @@ from instaqc.statevec import (
     sample_haar_state,
 )
 from instaqc.teleport import (
-    BsmOutcome,
     force_outcome,
     prepare_offline,
     run_with_corrections,
@@ -146,7 +145,7 @@ def test_corrections_restore_every_code(n):
     res = prepare_offline(circ)
     psi = sample_haar_state(n, rng)
     target = _reference_apply_circuit(circ, psi)
-    outputs = np.array([force_outcome(res, psi, BsmOutcome.from_code(n, code))[1]
+    outputs = np.array([force_outcome(res, psi, code)[1]
                         .output_state.amplitudes for code in range(4**n)])
     fixed, extra = run_with_corrections(np.arange(4**n), outputs, circ)
     assert extra == 2

@@ -26,8 +26,8 @@ from instaqc.statevec import (
 from instaqc.teleport import (
     BELL_BASIS,
     CORRECTIONS,
-    BsmOutcome,
     OfflineResource,
+    _pair_outcome_vector,
     bell_measure_pairs,
     check_measurement,
     force_outcome,
@@ -43,16 +43,24 @@ def test_bell_basis_is_orthonormal():
     assert np.abs(BELL_BASIS @ BELL_BASIS.conj().T - np.eye(4)).max() < 1e-12
 
 
-def test_bsm_outcome_validation_and_code():
-    out = BsmOutcome(((1, 0), (0, 1)))
-    assert not out.all_trivial()
-    assert out.code == 1 + 2 * 4
-    assert BsmOutcome.from_code(2, out.code) == out
-    assert BsmOutcome(((0, 0), (0, 0))).all_trivial()
-    with pytest.raises(ValueError, match="0/1"):
-        BsmOutcome(((2, 0),))
-    with pytest.raises(ValueError, match="out of range"):
-        BsmOutcome.from_code(1, 4)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_code_digit_i_is_pair_i_bell_row(n):
+    """Digit i of a code, code >> 2i & 3, is the BELL_BASIS row of pair i,
+    which sits on qubits (i, n + i): entry j of the product vector is the
+    product over pairs of row[bit i of j + 2 * bit n+i of j]."""
+    for code in range(4**n):
+        rows = [BELL_BASIS[code >> (2 * i) & 3] for i in range(n)]
+        expected = [np.prod([rows[i][(j >> i & 1) + 2 * (j >> (n + i) & 1)]
+                             for i in range(n)]) for j in range(4**n)]
+        assert np.abs(_pair_outcome_vector(n, code) - expected).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_force_outcome_rejects_codes_out_of_range(n):
+    res = prepare_offline(Circuit(n))
+    for code in (-1, 4**n):
+        with pytest.raises(ValueError, match="out of range"):
+            force_outcome(res, basis_state(n, 0), code)
 
 
 def test_make_bell_pairs_single():
@@ -126,7 +134,7 @@ def test_bell_measure_pairs_rejects_bad_layout():
 def _teleport_residual(x, z, psi):
     """Forced-outcome far state for a single teleported qubit, no circuit."""
     res = prepare_offline(Circuit(1))
-    prob, result = force_outcome(res, psi, BsmOutcome(((x, z),)))
+    prob, result = force_outcome(res, psi, x + 2 * z)
     assert abs(prob - 0.25) < 1e-9
     return result.output_state
 
@@ -184,7 +192,7 @@ def test_force_outcome_matches_distribution():
     psi = sample_haar_state(2, rng)
     dist = outcome_distribution(res, psi)
     for code in range(16):
-        prob, result = force_outcome(res, psi, BsmOutcome.from_code(2, code))
+        prob, result = force_outcome(res, psi, code)
         assert abs(prob - dist[code]) < 1e-12
         assert result.success == (code == 0)
 
@@ -197,7 +205,7 @@ def test_sampled_outcome_frequencies_n1():
     trials = 20000
     for _ in range(trials):
         result = run_instantaneous(res, psi, rng)
-        counts[result.outcome.code] += 1
+        counts[result.code] += 1
     for code in range(4):
         rate_within_3sigma(int(counts[code]), trials, 0.25)
 
@@ -211,14 +219,14 @@ def test_success_branch_gives_circuit_output(n):
         circ = random_circuit(n, 3, rng)
         res = prepare_offline(circ)
         psi = sample_haar_state(n, rng)
-        _, result = force_outcome(res, psi, BsmOutcome.from_code(n, 0))
+        _, result = force_outcome(res, psi, 0)
         assert result.success
         assert fidelity(result.output_state, apply_circuit(circ, psi)) > 1 - 1e-9
 
 
 def test_identity_input_zero_success_output_zero():
     res = prepare_offline(Circuit(2))
-    _, result = force_outcome(res, basis_state(2, 0), BsmOutcome.from_code(2, 0))
+    _, result = force_outcome(res, basis_state(2, 0), 0)
     assert fidelity(result.output_state, basis_state(2, 0)) > 1 - 1e-9
 
 
@@ -227,7 +235,7 @@ def test_run_instantaneous_success_flag_matches_outcome():
     res = prepare_offline(random_circuit(1, 2, rng))
     for _ in range(50):
         result = run_instantaneous(res, sample_haar_state(1, rng), rng)
-        assert result.success == result.outcome.all_trivial()
+        assert result.success == (result.code == 0)
 
 
 def test_run_instantaneous_dimension_mismatch():
@@ -240,7 +248,7 @@ def test_run_instantaneous_dimension_mismatch():
 def _forced_outputs(res, psi):
     """The far-block output of every outcome code, one row per code."""
     n = res.n
-    return np.array([force_outcome(res, psi, BsmOutcome.from_code(n, code))[1]
+    return np.array([force_outcome(res, psi, code)[1]
                      .output_state.amplitudes for code in range(4**n)])
 
 
@@ -283,7 +291,7 @@ def test_corrections_on_trivial_outcome_are_identity():
     circ = random_circuit(2, 3, rng)
     res = prepare_offline(circ)
     psi = sample_haar_state(2, rng)
-    _, result = force_outcome(res, psi, BsmOutcome.from_code(2, 0))
+    _, result = force_outcome(res, psi, 0)
     fixed, _ = run_with_corrections(np.array([0]), result.output_state.amplitudes[None],
                                     circ)
     assert fidelity(StateVector(fixed[0]), result.output_state) > 1 - 1e-9
@@ -297,7 +305,7 @@ def test_corrections_outcome_length_mismatch():
     result = run_instantaneous(res, basis_state(1, 0), rng)
     row = result.output_state.amplitudes[None]
     with pytest.raises(ValueError, match="qubits"):
-        run_with_corrections(np.array([result.outcome.code]), row, Circuit(2))
+        run_with_corrections(np.array([result.code]), row, Circuit(2))
     with pytest.raises(ValueError, match="qubits"):
         run_with_corrections(np.array([0]), row[0], Circuit(1))
     with pytest.raises(ValueError, match="row counts"):
@@ -321,8 +329,8 @@ def test_repair_permutation_matches_corrections_gate_by_gate(n):
                                     np.tile(output.amplitudes, (4**n, 1)), circ)
     for code in range(4**n):
         expected = unrun
-        for i, key in enumerate(BsmOutcome.from_code(n, code).bits):
-            for gate in CORRECTIONS[key]:
+        for i in range(n):
+            for gate in CORRECTIONS[(code >> (2 * i) & 1, code >> (2 * i + 1) & 1)]:
                 expected = apply_gate(expected, gate, [i])
         assert np.abs(fixed[code] - u @ expected.amplitudes).max() <= 1e-12
 
@@ -345,12 +353,12 @@ def test_pure_z_circuit_commutes_with_z_corrections():
     res = prepare_offline(circ)
     psi = sample_haar_state(2, rng)
     target = apply_circuit(circ, psi)
-    outcome = BsmOutcome(((0, 1), (0, 1)))  # both pairs: z residue only
-    _, result = force_outcome(res, psi, outcome)
+    code = 2 + 2 * 4  # both pairs: z residue only
+    _, result = force_outcome(res, psi, code)
     shortcut = apply_gate(apply_gate(result.output_state, Z, [0]), Z, [1])
     assert fidelity(shortcut, target) > 1 - 1e-9
     # and the general invert-correct-rerun path agrees
-    fixed, _ = run_with_corrections(np.array([outcome.code]),
+    fixed, _ = run_with_corrections(np.array([code]),
                                     result.output_state.amplitudes[None], circ)
     assert fidelity(StateVector(fixed[0]), shortcut) > 1 - 1e-9
 
