@@ -75,24 +75,25 @@ def inverse(circuit: Circuit) -> Circuit:
     return Circuit(circuit.num_qubits, gates)
 
 
-def _haar_unitary_2x2(rng: np.random.Generator) -> np.ndarray:
-    """Haar-random 2x2 unitary by the QR recipe of scipy.stats.unitary_group,
-    same expression order, so a seed gives bitwise the same matrix."""
-    z = 1 / math.sqrt(2) * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-    q, r = np.linalg.qr(z)
-    d = r.diagonal()
-    return q * (d / abs(d))
-
-
 def random_circuit(num_qubits: int, depth: int, rng: np.random.Generator) -> Circuit:
     """Layered random circuit: per layer, a Haar-random single-qubit gate on
-    every qubit, then (when num_qubits >= 2) one CNOT on a random pair."""
+    every qubit, then (when num_qubits >= 2) one CNOT on a random pair.
+
+    A layer's gates follow the QR recipe of scipy.stats.unitary_group,
+    stacked: one normal draw holds each gate's real then imaginary (2, 2)
+    part, gate by gate, so a seed gives bitwise the matrices that one
+    `unitary_group.rvs(2)` call per gate would.
+    """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     gates: list[Gate] = []
     for _ in range(depth):
-        for qubit in range(num_qubits):
-            gates.append((GateMatrix(_haar_unitary_2x2(rng)), (qubit,)))
+        parts = rng.normal(size=(num_qubits, 2, 2, 2))
+        z = 1 / math.sqrt(2) * (parts[:, 0] + 1j * parts[:, 1])
+        q, r = np.linalg.qr(z)
+        d = r.diagonal(axis1=1, axis2=2)
+        q *= (d / abs(d))[:, np.newaxis, :]
+        gates.extend((GateMatrix(u), (qubit,)) for qubit, u in enumerate(q))
         if num_qubits >= 2:
             control, target = rng.choice(num_qubits, size=2, replace=False)
             gates.append((CNOT, (int(control), int(target))))
@@ -103,8 +104,23 @@ def _matrix_to_json(mat: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in mat]
 
 
-def _matrix_from_json(rows: list) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
+def _is_number_pair(value) -> bool:
+    # type() is int, not isinstance: a JSON true must not pass as 1
+    return (type(value) is list and len(value) == 2
+            and all(type(v) in (int, float) for v in value))
+
+
+def _matrix_from_json(rows) -> np.ndarray:
+    """Square matrix from a list of rows of [re, im] number pairs."""
+    if (type(rows) is list and rows
+            and all(type(row) is list and len(row) == len(rows)
+                    and all(map(_is_number_pair, row)) for row in rows)):
+        try:
+            return np.array(rows, dtype=float).view(complex)[..., 0]
+        except OverflowError:  # an integer too large for a float
+            pass
+    raise ValueError("matrix must be a square list of rows of [re, im] "
+                     f"number pairs, got {rows!r}")
 
 
 def circuit_to_dict(circuit: Circuit) -> dict:
@@ -139,6 +155,8 @@ def circuit_from_dict(doc: dict) -> Circuit:
                 if "matrix" in entry:
                     raise ValueError("a gate takes 'name' or 'matrix', not both")
                 name = entry["name"]
+                if type(name) is not str:
+                    raise ValueError(f"name must be a string, got {name!r}")
                 if name not in NAMED_GATES:
                     raise ValueError(f"unknown gate name {name!r}")
                 gate = NAMED_GATES[name]

@@ -20,10 +20,13 @@ from .statevec import (
     _check_outcome_probability,
     _haar_rows,
 )
-from .teleport import OfflineResource, _bell_rows, check_measurement, prepare_offline
+from .teleport import OfflineResource, check_measurement, prepare_offline
 
-# Trials per chunk: about 128 KiB of working set.  The largest chunk kernel
-# (instant) holds ~10 (B, 2^n) complex arrays at once, 160 B per amplitude.
+# Trials per chunk: about 128 KiB of working set at 160 B per amplitude.
+# Traced per chunk amplitude, a `run_game` chunk peaks at ~130 B with approx
+# (its answers, their targets and the mixing direction), ~107 B with random
+# and ~68 B with instant, at n = 4..8.  The teleport CLI chunks by the same
+# rule, so seeded teleport reports depend on the figure too.
 _CHUNK_BYTES = 128 << 10
 
 
@@ -161,12 +164,16 @@ def classical_basis_strategy(circuit: Circuit, actual_input_index: int,
     return (True, StateVector(outputs[0])) if hit[0] else (False, None)
 
 
-def _rsp_rows(resource: OfflineResource, known: np.ndarray, rng: np.random.Generator):
-    """`rsp_strategy` over the rows of a (B, 2^n) array of known inputs, one
-    rng.random(B): (fired mask, normalized far blocks of the fired rows).
-    Raises, before drawing, if any row's outcome has (near-)zero probability."""
+def _project_rows(resource: OfflineResource, near: np.ndarray, rng: np.random.Generator):
+    """Project the resource's near block onto each row of a (B, 2^n) array,
+    one rng.random(B): (fired mask, normalized far blocks of the fired rows).
+
+    Row t's far block is near_t @ R^T, with R[far, near] the joint amplitudes;
+    its squared norm is the probability that the projection fires.  Raises,
+    before drawing, if any row's probability is (near-)zero.
+    """
     side = 1 << resource.n
-    far = known @ resource.joint_state.amplitudes.reshape(side, side).T
+    far = near @ resource.joint_state.amplitudes.reshape(side, side).T
     prob = np.einsum("ti,ti->t", far.conj(), far).real
     _check_outcome_probability(prob)
     fired = rng.random(len(prob)) < prob
@@ -184,7 +191,7 @@ def rsp_strategy(resource: OfflineResource, known_input: StateVector,
     whether it fired.
     """
     resource._check_input(known_input)
-    fired, outputs = _rsp_rows(resource, known_input.amplitudes[np.newaxis], rng)
+    fired, outputs = _project_rows(resource, known_input.amplitudes[np.newaxis], rng)
     return (True, StateVector(outputs[0])) if fired[0] else (False, None)
 
 
@@ -229,10 +236,14 @@ def _guess(kind, circuit, resource, rows, rng):
 
 
 def _teleport(kind, circuit, resource, rows, rng):
-    inputs = _haar_rows(circuit.num_qubits, rows, rng)
-    codes, outputs = _bell_rows(resource, inputs, rng)
-    success = codes == 0
-    return outputs[success], inputs[success] @ circuit.unitary.T
+    # Only the all-Φ⁺ outcome answers, and pairing input and near block in
+    # Φ⁺^n is the near block projected onto ψ·2^(-n/2): probability
+    # ‖Rψ‖²/2^n, 4^-n on a circuit resource, and far block Uψ (the trivial
+    # branch of gate teleportation).
+    n = circuit.num_qubits
+    inputs = _haar_rows(n, rows, rng)
+    fired, outputs = _project_rows(resource, inputs * 2.0 ** (-n / 2), rng)
+    return outputs, inputs[fired] @ circuit.unitary.T
 
 
 def _classical(kind, circuit, resource, rows, rng):
@@ -245,7 +256,7 @@ def _classical(kind, circuit, resource, rows, rng):
 
 def _steer(kind, circuit, resource, rows, rng):
     known = _haar_rows(circuit.num_qubits, rows, rng)
-    fired, outputs = _rsp_rows(resource, known, rng)
+    fired, outputs = _project_rows(resource, known, rng)
     return outputs, known[fired] @ circuit.unitary.T
 
 

@@ -24,7 +24,7 @@ from instaqc.strategies import (
     RANDOM_GUESS,
     REMOTE_STATE_PREP,
     ScoreParams,
-    _rsp_rows,
+    _project_rows,
     approximate,
     approximate_breakeven,
     cost_analysis,
@@ -180,7 +180,7 @@ def test_criterion_06_hit_rates_2_to_minus_n():
         for i in range(10):
             known = sample_haar_state(n, rng)
             # one rng.random(10000), the draws of 10000 rsp_strategy calls
-            fired, _ = _rsp_rows(resource, np.tile(known.amplitudes, (10000, 1)), rng)
+            fired, _ = _project_rows(resource, np.tile(known.amplitudes, (10000, 1)), rng)
             hits = int(fired.sum())
             rate, band = rate_band_3sigma(hits, 10000)
             checks.append((f"rsp n={n} input {i}", rate, band,

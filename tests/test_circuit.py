@@ -125,17 +125,23 @@ def test_random_circuit_deterministic_under_seed():
 
 def test_random_circuit_gates_match_scipy_haar_bitwise():
     # random_circuit draws each 2x2 gate with scipy's unitary_group recipe,
-    # reimplemented in numpy so the package does not import scipy
-    for seed in range(20):
-        circ = random_circuit(3, 4, np.random.default_rng(seed))
-        rng = np.random.default_rng(seed)
-        for layer in range(4):
-            for qubit in range(3):
-                gate, targets = circ.gates[4 * layer + qubit]
-                assert targets == (qubit,)
-                assert np.array_equal(gate.entries,
-                                      unitary_group.rvs(2, random_state=rng))
-            rng.choice(3, size=2, replace=False)  # the layer's CNOT pair
+    # reimplemented in numpy (one stacked draw and QR per layer) so the
+    # package does not import scipy
+    for n in (1, 2, 3, 5, 8):
+        layer = n + (n >= 2)  # n gates, then a CNOT when there is a pair
+        for seed in range(20):
+            circ = random_circuit(n, 4, np.random.default_rng(seed))
+            rng = np.random.default_rng(seed)
+            for first in range(0, 4 * layer, layer):
+                for qubit in range(n):
+                    gate, targets = circ.gates[first + qubit]
+                    assert targets == (qubit,)
+                    assert np.array_equal(gate.entries,
+                                          unitary_group.rvs(2, random_state=rng))
+                if n >= 2:
+                    assert circ.gates[first + n][0] is CNOT
+                    control, target = rng.choice(n, size=2, replace=False)
+                    assert circ.gates[first + n][1] == (control, target)
 
 
 def test_random_circuit_norm_preserving():

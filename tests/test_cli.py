@@ -503,6 +503,32 @@ def test_circuit_file_of_the_wrong_shape_is_bad_input(tmp_path, capsys, command,
     assert message in err
 
 
+_I_PAIRS = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+
+
+@pytest.mark.parametrize("gate, field", [
+    ({"matrix": 5}, "matrix"),
+    ({"matrix": [[1, 2], [3, 4]]}, "matrix"),
+    ({"matrix": [[["a", 0], [0, 0]], [[0, 0], [1, 0]]]}, "matrix"),
+    ({"matrix": [[[True, 0], [0, 0]], [[0, 0], [True, 0]]]}, "matrix"),
+    ({"matrix": [[[10**400, 0], [0, 0]], [[0, 0], [1, 0]]]}, "matrix"),
+    ({"matrix": [_I_PAIRS[0], _I_PAIRS[1][:1]]}, "matrix"),
+    ({"name": ["H"]}, "name"),
+    ({"name": 7}, "name"),
+])
+@pytest.mark.parametrize("flags", [(), ("--csv",)])
+@pytest.mark.parametrize("command", ["teleport", "game"])
+def test_circuit_file_gate_of_the_wrong_type_names_the_field(tmp_path, capsys, command,
+                                                             flags, gate, field):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"num_qubits": 1, "gates": [{**gate, "targets": [0]}]}))
+    code, out, err = run_cli(capsys, command, "--circuit", str(path), "--trials", "5",
+                             *flags)
+    assert code == 2
+    assert out == ""
+    assert f"{field} must" in err
+
+
 def _feed_stdin(monkeypatch, doc):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
 

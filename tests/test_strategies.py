@@ -27,7 +27,7 @@ from instaqc.strategies import (
     _approximate_rows,
     _chunk_rows,
     _classical_rows,
-    _rsp_rows,
+    _project_rows,
     approximate,
     approximate_breakeven,
     approximate_output,
@@ -38,7 +38,7 @@ from instaqc.strategies import (
     rsp_strategy,
     run_game,
 )
-from instaqc.teleport import OfflineResource, prepare_offline
+from instaqc.teleport import OfflineResource, force_outcome, prepare_offline
 
 
 # --- types ---------------------------------------------------------------------
@@ -235,7 +235,7 @@ def test_rsp_refuses_near_zero_outcome():
         with pytest.raises(ValueError, match="zero probability"):
             rsp_strategy(resource, known, rng)
         with pytest.raises(ValueError, match="zero probability"):
-            _rsp_rows(resource, np.array([[1.0, 0.0], known.amplitudes]), rng)
+            _project_rows(resource, np.array([[1.0, 0.0], known.amplitudes]), rng)
     assert rng.draws == 0
     known = StateVector(np.array([np.sqrt(1e-11), np.sqrt(1.0 - 1e-11)]))
     answered, output = rsp_strategy(resource, known, rng)
@@ -295,7 +295,7 @@ def test_rsp_rows_are_one_trial_calls(n):
     resource = prepare_offline(random_circuit(n, 3, states))
     known = _haar_rows(n, 200, states)
     rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
-    fired, outputs = _rsp_rows(resource, known, rng)
+    fired, outputs = _project_rows(resource, known, rng)
     assert 0 < fired.sum() < 200
     answers = iter(outputs)
     for row, f in zip(known, fired):
@@ -304,6 +304,58 @@ def test_rsp_rows_are_one_trial_calls(n):
         if answered:
             assert np.abs(output.amplitudes - next(answers)).max() <= 1e-12
     assert rng.random() == ref_rng.random()
+
+
+class UniformsRng:
+    """Stands in for a Generator: random(size) returns `uniforms`, every
+    other draw is the seeded generator's."""
+
+    def __init__(self, seed, uniforms):
+        self._gen = np.random.default_rng(seed)
+        self.uniforms = uniforms
+
+    def __getattr__(self, name):
+        return getattr(self._gen, name)
+
+    def random(self, size=None):
+        assert size == len(self.uniforms)
+        return self.uniforms
+
+
+@pytest.mark.parametrize("kind", ["circuit", "haar"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_instant_sampler_fires_exactly_below_the_all_trivial_probability(kind, n):
+    """The `instant` chunk sampler answers a row iff its one uniform is below
+    p0, the exact probability that every pair reads Φ⁺ (`force_outcome` of
+    code 0), and answers with that outcome's far block.  Uniforms sit a
+    relative 1e-9 below, then above, each row's p0."""
+    states = np.random.default_rng(160 + n)
+    circuit = random_circuit(n, 3, states)
+    resource = (prepare_offline(circuit) if kind == "circuit"
+                else OfflineResource(sample_haar_state(2 * n, states)))
+    rows = 6
+    inputs = _haar_rows(n, rows, np.random.default_rng(n))  # the sampler's first draw
+    forced = [force_outcome(resource, StateVector(row), 0) for row in inputs]
+    p0 = np.array([prob for prob, _ in forced])
+    sample = STRATEGIES["instantaneous"].sample
+
+    answers, corrects = sample(INSTANTANEOUS, circuit, resource, rows,
+                               UniformsRng(n, p0 * (1 - 1e-9)))
+    assert len(answers) == rows
+    assert np.array_equal(corrects, inputs @ circuit.unitary.T)
+    for answer, (_, result) in zip(answers, forced):
+        assert fidelity(StateVector(answer), result.output_state) >= 1 - 1e-12
+    answers, corrects = sample(INSTANTANEOUS, circuit, resource, rows,
+                               UniformsRng(n, p0 * (1 + 1e-9)))
+    assert answers.shape == corrects.shape == (0, 1 << n)
+
+
+def test_instant_sampler_answers_at_rate_4_to_the_minus_n():
+    n, rows = 2, 20_000
+    circuit = random_circuit(n, 3, np.random.default_rng(170))
+    answers, _ = STRATEGIES["instantaneous"].sample(
+        INSTANTANEOUS, circuit, prepare_offline(circuit), rows, np.random.default_rng(171))
+    rate_within_3sigma(len(answers), rows, 4.0**-n)
 
 
 @pytest.mark.parametrize("F", [0.0, 0.3, 0.9, 1.0])
