@@ -82,20 +82,27 @@ def random_circuit(num_qubits: int, depth: int, rng: np.random.Generator) -> Cir
     A layer's gates follow the QR recipe of scipy.stats.unitary_group,
     stacked: one normal draw holds each gate's real then imaginary (2, 2)
     part, gate by gate, so a seed gives bitwise the matrices that one
-    `unitary_group.rvs(2)` call per gate would.
+    `unitary_group.rvs(2)` call per gate would.  The draws come layer by
+    layer (the gates' normals, then the CNOT pair); the QR and its phase fix
+    then run once over the gates of every layer.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    gates: list[Gate] = []
+    parts, pairs = [], []
     for _ in range(depth):
-        parts = rng.normal(size=(num_qubits, 2, 2, 2))
-        z = 1 / math.sqrt(2) * (parts[:, 0] + 1j * parts[:, 1])
-        q, r = np.linalg.qr(z)
-        d = r.diagonal(axis1=1, axis2=2)
-        q *= (d / abs(d))[:, np.newaxis, :]
-        gates.extend((GateMatrix(u), (qubit,)) for qubit, u in enumerate(q))
+        parts.append(rng.normal(size=(num_qubits, 2, 2, 2)))
         if num_qubits >= 2:
-            control, target = rng.choice(num_qubits, size=2, replace=False)
+            pairs.append(rng.choice(num_qubits, size=2, replace=False))
+    parts = np.reshape(parts, (depth, num_qubits, 2, 2, 2))
+    z = 1 / math.sqrt(2) * (parts[:, :, 0] + 1j * parts[:, :, 1])
+    q, r = np.linalg.qr(z)
+    d = r.diagonal(axis1=-2, axis2=-1)
+    q *= (d / abs(d))[..., np.newaxis, :]
+    gates: list[Gate] = []
+    for layer, layer_gates in enumerate(q):
+        gates.extend((GateMatrix(u), (qubit,)) for qubit, u in enumerate(layer_gates))
+        if num_qubits >= 2:
+            control, target = pairs[layer]
             gates.append((CNOT, (int(control), int(target))))
     return Circuit(num_qubits, tuple(gates))
 

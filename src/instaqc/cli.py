@@ -196,17 +196,25 @@ def _mean_and_min(fids: list[np.ndarray]):
     return (float(fids.mean()), float(fids.min())) if len(fids) else (None, None)
 
 
+# Teleport trials per chunk: about 128 KiB at 160 B per amplitude, smaller
+# than the game's.  At 512 KiB an n = 5 chunk (102 rows) hands `inputs @ U.T`
+# to OpenBLAS threads, and the one-row Bell calls after it then ran ~2x
+# slower in most runs.  Seeded teleport reports depend on this figure.
+_TELEPORT_CHUNK_BYTES = 128 << 10
+
+
 def _run_teleport(args) -> str:
-    """Plays the trials in chunks of `_chunk_rows(n)`.  Per chunk: the Haar
-    inputs as one array, one `run_instantaneous` call per row, then the
-    histogram, the targets `inputs @ U.T`, the success fidelities and the
-    repair of every non-trivial row as row-wise passes over the chunk."""
+    """Plays the trials in chunks of `_chunk_rows(n, _TELEPORT_CHUNK_BYTES)`.
+    Per chunk: the Haar inputs as one array, one `run_instantaneous` call per
+    row, then the histogram, the targets `inputs @ U.T`, the success
+    fidelities and the repair of every non-trivial row as row-wise passes
+    over the chunk."""
     circ = (args.loaded_circuit if args.circuit
             else random_circuit(args.n, args.depth, _stream(args.seed, 0)))
     n = circ.num_qubits
     resource = prepare_offline(circ)
     rng = _stream(args.seed, 1)
-    chunk = _chunk_rows(n)
+    chunk = _chunk_rows(n, _TELEPORT_CHUNK_BYTES)
 
     histogram = np.zeros(4**n, dtype=np.int64)
     success_fids, corrected_fids = [], []

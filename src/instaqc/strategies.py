@@ -22,16 +22,20 @@ from .statevec import (
 )
 from .teleport import OfflineResource, check_measurement, prepare_offline
 
-# Trials per chunk: about 128 KiB of working set at 160 B per amplitude.
-# Traced per chunk amplitude, a `run_game` chunk peaks at ~130 B with approx
-# (its answers, their targets and the mixing direction), ~107 B with random
-# and ~68 B with instant, at n = 4..8.  The teleport CLI chunks by the same
-# rule, so seeded teleport reports depend on the figure too.
-_CHUNK_BYTES = 128 << 10
+# Game trials per chunk: about 512 KiB of working set at 160 B per amplitude
+# (1638 rows at n = 1, 204 at n = 4, 12 at n = 8).  Traced per chunk
+# amplitude, a `run_game` chunk peaks at ~130 B with approx (its answers,
+# their targets and the mixing direction), ~107 B with random and ~68 B with
+# instant, at n = 4..8.  A chunk costs a few dozen numpy calls whatever its
+# size; 512 KiB played 1.3-2.4x the trials/s of 128 KiB at n = 1..8.  1 MiB
+# added at most ~15% at n <= 6, and at 2 MiB an n = 3 chunk hands its small
+# matmuls to OpenBLAS threads and runs 4-8x slower.
+_CHUNK_BYTES = 512 << 10
 
 
-def _chunk_rows(n: int) -> int:
-    return max(1, _CHUNK_BYTES // (160 << n))
+def _chunk_rows(n: int, budget: int = _CHUNK_BYTES) -> int:
+    """Rows of a chunk of n-qubit trials that fits `budget` bytes."""
+    return max(1, budget // (160 << n))
 
 
 @dataclass(frozen=True)

@@ -88,8 +88,13 @@ def timeline_config_from_dict(doc: dict) -> TimelineConfig:
     missing = set(names[:-1]) - set(doc)
     if missing:
         raise ValueError(f"missing timeline fields: {sorted(missing)}")
+    values = {}
     for key, value in doc.items():
         if type(value) not in (int, float):  # a JSON true is not a number here
             raise ValueError(f"timeline field {key!r} must be a number, got {value!r}")
-    return TimelineConfig(**{k: float(v) for k, v in doc.items()})
+        try:
+            values[key] = float(value)
+        except OverflowError:  # a JSON integer too large for a float
+            raise ValueError(f"timeline field {key!r} is too large for a float") from None
+    return TimelineConfig(**values)
 

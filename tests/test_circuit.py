@@ -144,6 +144,19 @@ def test_random_circuit_gates_match_scipy_haar_bitwise():
                     assert circ.gates[first + n][1] == (control, target)
 
 
+@pytest.mark.parametrize("n, depth", [(1, 0), (3, 0), (1, 4), (3, 4)])
+def test_random_circuit_draws_layer_by_layer(n, depth):
+    """Each layer draws its gates' normals, then its CNOT pair, and nothing
+    else is drawn: the generator ends where those draws leave it."""
+    rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+    random_circuit(n, depth, rng)
+    for _ in range(depth):
+        ref.normal(size=(n, 2, 2, 2))
+        if n >= 2:
+            ref.choice(n, size=2, replace=False)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_random_circuit_norm_preserving():
     rng = np.random.default_rng(6)
     circ = random_circuit(4, 3, rng)

@@ -13,6 +13,7 @@ import instaqc
 from conftest import traced_peak
 from instaqc.circuit import Circuit, random_circuit, save_circuit
 from instaqc.cli import (
+    _TELEPORT_CHUNK_BYTES,
     _fmt,
     _json_dumps,
     _parse_int_list,
@@ -60,15 +61,16 @@ def test_teleport_histogram_is_the_batched_kernel_on_the_same_streams(capsys, n,
     one row of _bell_rows does, so the chunked CLI's histogram equals a
     _bell_rows recomputation chunk by chunk (several chunks, the last one
     partial)."""
-    assert trials > 2 * _chunk_rows(n)
+    chunk = _chunk_rows(n, _TELEPORT_CHUNK_BYTES)
+    assert trials > 2 * chunk
     code, out, _ = run_cli(capsys, "teleport", "--n", str(n), "--depth", "3",
                            "--trials", str(trials), "--seed", "5", "--corrections")
     assert code == 0
     resource = prepare_offline(random_circuit(n, 3, _stream(5, 0)))
     rng = _stream(5, 1)
     histogram = np.zeros(4**n, dtype=int)
-    for start in range(0, trials, _chunk_rows(n)):
-        inputs = _haar_rows(n, min(_chunk_rows(n), trials - start), rng)
+    for start in range(0, trials, chunk):
+        inputs = _haar_rows(n, min(chunk, trials - start), rng)
         histogram += np.bincount(_bell_rows(resource, inputs, rng)[0], minlength=4**n)
     expected = {str(c): int(histogram[c]) for c in np.flatnonzero(histogram)}
     assert json.loads(out)["outcome_histogram"] == expected
@@ -617,6 +619,25 @@ def test_timeline_config_that_is_not_an_object_is_bad_input(monkeypatch, tmp_pat
     assert code == 2
     assert out == ""
     assert "timeline config must be a JSON object" in err
+
+
+@pytest.mark.parametrize("flags", [(), ("--csv",)])
+@pytest.mark.parametrize("source", ["stdin", "config"])
+def test_timeline_rejects_integer_too_large_for_a_float(monkeypatch, tmp_path,
+                                                       capsys, source, flags):
+    """JSON integers have no size limit; a 401-digit t1 is bad input that
+    names its field, not an OverflowError from float()."""
+    doc = {**TIMELINE, "t1": 10**400}
+    if source == "stdin":
+        _feed_stdin(monkeypatch, doc)
+    else:
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc))
+        flags = ("--config", str(path), *flags)
+    code, out, err = run_cli(capsys, "timeline", *flags)
+    assert code == 2
+    assert out == ""
+    assert "'t1' is too large for a float" in err
 
 
 def test_timeline_rejects_bad_json(monkeypatch, capsys):

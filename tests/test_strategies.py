@@ -369,12 +369,13 @@ def test_approximate_rows_are_one_trial_calls(F):
 
 
 def test_run_game_at_n8_stays_small():
-    """300 trials, one (B, 2^8) pass each, would hold ~20 MiB; in chunks
-    each strategy's arrays stay near 128 KiB, and what remains is the
-    2^16-amplitude resource and its Gram matrices (~3 MiB where built)."""
+    """300 trials, one (B, 2^8) pass each, would hold ~20 MiB; in the game's
+    chunks of 12 rows each strategy's arrays stay under 512 KiB, and what
+    remains is the 2^16-amplitude resource (~3 MiB where built)."""
     circ = random_circuit(8, 2, np.random.default_rng(150))
     circ.unitary  # compiled before tracing: 1 MiB, cached on the circuit
     trials = 300
+    assert _chunk_rows(8) == 12
     assert trials >= 3 * _chunk_rows(8)
     for name in STRATEGIES:
         kind = approximate(0.9) if name == "approximate" else StrategyKind(name)
@@ -444,6 +445,21 @@ def test_cost_accounting():
                               (RANDOM_GUESS, 0.0), (approximate(0.9), 0.0)):
         report = _game(kind, 1, 100, seed=107, cost=0.5)
         assert report.total_cost == expect_cost, kind.name
+
+
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("chunks, extra", [(1, -1), (1, 0), (1, 1), (2, 1)])
+def test_run_game_plays_every_trial_across_chunk_boundaries(n, chunks, extra):
+    """One trial short of a chunk, a full chunk, one past it and one past
+    two: the last partial chunk is played and no trial is played twice."""
+    trials = chunks * _chunk_rows(n) + extra
+    circ = random_circuit(n, 2, np.random.default_rng(180 + n))
+    for kind, answered in ((RANDOM_GUESS, trials), (approximate(0.9), trials),
+                           (NO_ANSWER, 0)):
+        rng = np.random.default_rng(181)
+        report = run_game(kind, circ, ScoreParams(1.0, 10.0), trials, rng)
+        assert report.trials == trials
+        assert report.answered_count == answered, kind.name
 
 
 # --- cost model --------------------------------------------------------------------
