@@ -9,6 +9,7 @@ from functools import cached_property
 import numpy as np
 
 from .statevec import (
+    MAX_GATES,
     NAMED_GATES,
     CNOT,
     UNITARY_TOL,
@@ -70,9 +71,24 @@ def apply_circuit(circuit: Circuit, state: StateVector, offset: int = 0) -> Stat
 
 
 def inverse(circuit: Circuit) -> Circuit:
-    """Reversed gate order with each matrix conjugate-transposed."""
-    gates = tuple((gate.dagger(), targets) for gate, targets in reversed(circuit.gates))
-    return Circuit(circuit.num_qubits, gates)
+    """Reversed gates, each conjugate-transposed; only a Hermitian one keeps its name."""
+    gates = []
+    for gate, targets in reversed(circuit.gates):
+        adj = gate.entries.conj().T
+        name = gate.name if np.array_equal(adj, gate.entries) else None
+        gates.append((GateMatrix(adj, name=name), targets))
+    return Circuit(circuit.num_qubits, tuple(gates))
+
+
+def _check_depth(num_qubits: int, depth: int) -> None:
+    """Reject a depth below 0, or one whose `random_circuit` would hold more
+    than MAX_GATES gates (num_qubits per layer, plus a CNOT from 2 qubits)."""
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
+    gates = depth * (num_qubits + (num_qubits >= 2))
+    if gates > MAX_GATES:
+        raise ValueError(f"depth {depth} at n = {num_qubits} makes {gates} gates, "
+                         f"over the limit {MAX_GATES}")
 
 
 def random_circuit(num_qubits: int, depth: int, rng: np.random.Generator) -> Circuit:
@@ -86,8 +102,7 @@ def random_circuit(num_qubits: int, depth: int, rng: np.random.Generator) -> Cir
     layer (the gates' normals, then the CNOT pair); the QR and its phase fix
     then run once over the gates of every layer.
     """
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
+    _check_depth(num_qubits, depth)
     parts, pairs = [], []
     for _ in range(depth):
         parts.append(rng.normal(size=(num_qubits, 2, 2, 2)))

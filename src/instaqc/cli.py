@@ -26,7 +26,7 @@ import numpy as np
 # start-up, out of the trial loop of every teleport and game run.
 from numpy.random import Generator, SeedSequence, default_rng
 
-from .circuit import load_circuit, random_circuit
+from .circuit import _check_depth, load_circuit, random_circuit
 from .statevec import MAX_QUBITS, StateVector, _fidelities, _haar_rows
 from .strategies import (
     STRATEGIES,
@@ -156,14 +156,13 @@ def _check_common(args: argparse.Namespace) -> None:
 
 
 def _parse_sizes(args: argparse.Namespace, ns: list[int] | None) -> list[int]:
-    """Check --depth and the sizes to run: `ns` from --n, or a --circuit file's.
+    """Check the sizes to run, `ns` from --n or a --circuit file's, and
+    --depth against them: the largest n must fit MAX_GATES gates.
 
     A circuit file is loaded and compiled here, so one that is not unitary
     is rejected as bad input before any run.
     """
     args.depth = _number("depth", args.depth)
-    if args.depth < 0:
-        raise ValueError(f"depth must be >= 0, got {args.depth}")
     if args.circuit:
         args.loaded_circuit = load_circuit(args.circuit)
         file_n = args.loaded_circuit.num_qubits
@@ -176,6 +175,7 @@ def _parse_sizes(args: argparse.Namespace, ns: list[int] | None) -> list[int]:
     elif not ns:
         raise ValueError(f"no n values in {args.n!r}")
     _check_n(ns)
+    _check_depth(max(ns), args.depth)
     if args.circuit:
         args.loaded_circuit.unitary  # compiled once; raises if not unitary
     return ns

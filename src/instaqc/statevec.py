@@ -21,6 +21,11 @@ NORM_TOL = 1e-9
 UNITARY_TOL = 1e-9
 # The register limit: the 2n-qubit resource up to n = 8, 3n-qubit references to n = 5.
 MAX_QUBITS = 16
+# The gate limit of a generated circuit.  Every gate keeps its own matrix, a
+# GateMatrix and its targets, ~1 KiB of RSS each, so an unchecked --depth
+# grows without bound; 2^12 gates add ~4 MiB, a few times the 1 MiB resource
+# at n = 8 (where compiling them already takes ~4 s).
+MAX_GATES = 1 << 12
 
 # Gram-Schmidt completion drops a candidate whose overlap with the span built
 # so far exceeds 1 - 1e-6, i.e. whose residual squared norm is below this.
@@ -87,11 +92,6 @@ class GateMatrix:
         mat.setflags(write=False)
         object.__setattr__(self, "entries", mat)
         object.__setattr__(self, "arity", mat.shape[0] // 2)
-
-    def dagger(self) -> "GateMatrix":
-        adj = self.entries.conj().T
-        name = self.name if np.array_equal(adj, self.entries) else None
-        return GateMatrix(adj, name=name)
 
 
 H = GateMatrix(np.array([[1, 1], [1, -1]]) * _SQRT2_INV, name="H")
@@ -195,17 +195,16 @@ def outcome_probabilities(state: StateVector, targets, basis) -> np.ndarray:
     return (np.abs(proj) ** 2).sum(axis=1)
 
 
-def _draw(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """Sample an outcome index from unnormalized probabilities.
+def _draw(probs: np.ndarray, u: float) -> int:
+    """Sample an outcome index from unnormalized probabilities, given uniform u.
 
-    The one sampling rule of the package: one rng.random() u, and the first
-    index whose normalized cumulative probability exceeds u, else the last.
-    Two outcomes [p, 1 - p] sum to exactly 1 in floating point, so there it
-    is u < p.  The cumulative sum runs left to right in Python floats, the
-    order np.cumsum adds in; the total stays numpy's (pairwise from 8 terms).
+    The one sampling rule of the package: the first index whose normalized
+    cumulative probability exceeds u, else the last.  Two outcomes [p, 1 - p]
+    sum to exactly 1 in floating point, so there it is u < p.  The cumulative
+    sum runs left to right in Python floats, the order np.cumsum adds in; the
+    total stays numpy's (pairwise from 8 terms).
     """
     total = float(probs.sum())
-    u = rng.random()
     acc = 0.0
     values = probs.tolist()
     for i, p in enumerate(values):
@@ -238,7 +237,7 @@ def measure_in_basis(state: StateVector, targets, basis, rng: np.random.Generato
     psi = _targets_to_front(state, targets)
     proj = mat.conj() @ psi
     probs = (np.abs(proj) ** 2).sum(axis=1)
-    outcome = _draw(probs, rng)
+    outcome = _draw(probs, rng.random())
 
     rest = proj[outcome] / np.sqrt(probs[outcome])
     collapsed = np.outer(mat[outcome], rest)

@@ -172,12 +172,11 @@ def _project_rows(resource: OfflineResource, near: np.ndarray, rng: np.random.Ge
     """Project the resource's near block onto each row of a (B, 2^n) array,
     one rng.random(B): (fired mask, normalized far blocks of the fired rows).
 
-    Row t's far block is near_t @ R^T, with R[far, near] the joint amplitudes;
-    its squared norm is the probability that the projection fires.  Raises,
-    before drawing, if any row's probability is (near-)zero.
+    Row t's far block is near_t @ R^T, with R[far, near] the resource's
+    `matrix`; its squared norm is the probability that the projection fires.
+    Raises, before drawing, if any row's probability is (near-)zero.
     """
-    side = 1 << resource.n
-    far = near @ resource.joint_state.amplitudes.reshape(side, side).T
+    far = near @ resource.matrix.T
     prob = np.einsum("ti,ti->t", far.conj(), far).real
     _check_outcome_probability(prob)
     fired = rng.random(len(prob)) < prob

@@ -86,18 +86,21 @@ class OfflineResource:
                 f"input has {state.num_qubits} qubits, resource expects {self.n}")
 
     @cached_property
+    def matrix(self) -> np.ndarray:
+        """R[far, near]: the joint amplitudes as a read-only 2^n x 2^n view."""
+        return self.joint_state.amplitudes.reshape(1 << self.n, -1)
+
+    @cached_property
     def near_grams(self) -> tuple[np.ndarray, ...]:
         """Read-only Gram matrices of the near block, built on first access.
 
-        With R[far, near] the joint amplitudes and M = R^H R, entry k is M
-        traced over near bits k+1..n-1, a 2^(k+1) x 2^(k+1) matrix indexed
-        little-endian by near bits 0..k; the last entry is M itself.  Once
-        pairs 0..k are measured, each outcome's probability is a quadratic
-        form in these, so the Bell step never touches the far block.
+        With R = `matrix` and M = R^H R, entry k is M traced over near bits
+        k+1..n-1, a 2^(k+1) x 2^(k+1) matrix indexed little-endian by near
+        bits 0..k; the last entry is M itself.  Once pairs 0..k are measured,
+        each outcome's probability is a quadratic form in these, so the Bell
+        step never touches the far block.
         """
-        side = 1 << self.n
-        r = self.joint_state.amplitudes.reshape(side, side)
-        grams = [r.conj().T @ r]
+        grams = [self.matrix.conj().T @ self.matrix]
         while grams[0].shape[0] > 2:
             half = grams[0].shape[0] // 2
             grams.insert(0, grams[0][:half, :half] + grams[0][half:, half:])
@@ -151,23 +154,23 @@ def bell_measure_pairs(joint: StateVector, rng: np.random.Generator):
 
     `joint` must hold 3n qubits laid out [input | near | far].  Each pair is
     contracted with the four Bell vectors out of what is left, takes one
-    `_draw`, and keeps the chosen slice renormalized, so the register loses
-    two qubits per pair.  Returns the outcome code and the renormalized
-    n-qubit far-block state.
+    `_draw` with its uniform from one rng.random(n), and keeps the chosen
+    slice renormalized, so the register loses two qubits per pair.  Returns
+    the outcome code and the renormalized n-qubit far-block state.
     """
     if joint.num_qubits % 3 != 0:
         raise ValueError(f"{joint.num_qubits} qubits does not split into 3 blocks")
     n = joint.num_qubits // 3
     state = joint.amplitudes.reshape(1 << n, 1 << n, 1 << n)  # (far, near, input)
     code = 0
-    for k in range(n):
+    for k, u in enumerate(rng.random(n).tolist()):
         far, near, inp = state.shape
         split = state.reshape(far, near // 2, 2, inp // 2, 2)
         # (4, far, near/2, input/2): the lowest (near, input) pair contracted
         proj = np.tensordot(_BELL_CONJ, split, axes=([1, 2], [2, 4]))
         flat = proj.reshape(4, -1).view(float)  # (re, im) interleaved
         probs = np.einsum("ij,ij->i", flat, flat)
-        b = _draw(probs, rng)
+        b = _draw(probs, u)
         code |= b << (2 * k)
         state = proj[b] / np.sqrt(probs[b])
     return code, StateVector(state.reshape(-1))
@@ -181,22 +184,22 @@ def run_instantaneous(resource: OfflineResource, input_state: StateVector,
     w[near bits measured so far, input bits not yet measured], 2^n
     amplitudes.  Pair k contracts input bit k with the four Bell vectors and
     weighs each outcome with the resource's near-block Gram matrix
-    (`OfflineResource.near_grams`); one draw per pair, in pair order, as in
-    `bell_measure_pairs`, which is the reference for this kernel.  The far
-    block is read once, for the output.
+    (`OfflineResource.near_grams`); one uniform per pair, in pair order, from
+    one rng.random(n) as in `bell_measure_pairs`, which is the reference for
+    this kernel.  The far block is read once, for the output.
     """
     resource._check_input(input_state)
     w = input_state.amplitudes
     code = 0
+    uniforms = rng.random(resource.n).tolist()
     for k, gram in enumerate(resource.near_grams):
         # (4, near bits 0..k, input bits k+1..): input bit k contracted
         c = (_BELL_ROWS @ w.reshape(-1, 2).T).reshape(4, gram.shape[0], -1)
         probs = (c.conj() * (gram @ c)).sum(axis=(1, 2)).real  # c^H G c
-        b = _draw(probs, rng)
+        b = _draw(probs, uniforms[k])
         code |= b << (2 * k)
         w = c[b]
-    side = 1 << resource.n
-    far = resource.joint_state.amplitudes.reshape(side, side) @ w[:, 0]
+    far = resource.matrix @ w[:, 0]
     return InstantRunResult(code, StateVector(far / np.sqrt(probs[b])))
 
 
@@ -204,8 +207,8 @@ def _bell_rows(resource: OfflineResource, inputs: np.ndarray,
                rng: np.random.Generator):
     """`run_instantaneous` on every row of a (B, 2^n) array of inputs.
 
-    Draws rng.random((B, n)) first, so row t uses the uniforms that B
-    sequential `run_instantaneous` calls would give trial t.  Per pair: one
+    Draws rng.random((B, n)) first: row t holds the rng.random(n) that the
+    t-th of B sequential `run_instantaneous` calls would draw.  Per pair: one
     matmul with the Bell rows, the weights c^H G_k c as G_k c and a row-wise
     dot, `_draw_rows` on each row's four weights and a gather of the chosen
     slice.  Each is one 2-D matmul or elementwise pass over the chunk.
@@ -229,8 +232,7 @@ def _bell_rows(resource: OfflineResource, inputs: np.ndarray,
         b = _draw_rows(probs, uniforms[:, k])
         codes |= b << (2 * k)
         w = c[picked, :, :, b].transpose(0, 3, 1, 2)  # near bit k on top
-    side = 1 << resource.n
-    far = w.reshape(rows, side) @ resource.joint_state.amplitudes.reshape(side, side).T
+    far = w.reshape(rows, -1) @ resource.matrix.T
     return codes, far / np.sqrt(probs[picked, b])[:, None]
 
 

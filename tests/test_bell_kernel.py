@@ -40,10 +40,10 @@ from instaqc.teleport import (
 
 
 class ForcedDigits:
-    """Stands in for a Generator.  Call i of random() returns the middle of
-    the interval that the package's draw rule maps to base-4 digit i of
-    `code`, under the exact conditional distribution of pair i given the
-    earlier digits (`dist` is indexed by outcome code)."""
+    """Stands in for a Generator.  Its one random(n) call returns, as entry
+    i, the middle of the interval that the package's draw rule maps to
+    base-4 digit i of `code`, under the exact conditional distribution of
+    pair i given the earlier digits (`dist` is indexed by outcome code)."""
 
     def __init__(self, dist: np.ndarray, n: int, code: int):
         codes = np.arange(4**n)
@@ -57,10 +57,10 @@ class ForcedDigits:
             self.values.append((cum[digit] + cum[digit + 1]) / 2)
         self.calls = 0
 
-    def random(self) -> float:
-        value = self.values[self.calls]
+    def random(self, size) -> np.ndarray:
+        assert size == len(self.values)
         self.calls += 1
-        return value
+        return np.array(self.values)
 
 
 def sequential_bell_measure(joint, rng):
@@ -96,13 +96,13 @@ def _forced_codes_match_exact_reference(resource, psi):
         _, expected = force_outcome(resource, psi, code)
         stub = ForcedDigits(dist, n, code)
         result = run_instantaneous(resource, psi, stub)
-        assert stub.calls == n
+        assert stub.calls == 1
         assert result.code == code
         assert result.success == (code == 0)
         assert fidelity(result.output_state, expected.output_state) >= 1 - 1e-9
         stub = ForcedDigits(dist, n, code)
         outcome, far = bell_measure_pairs(joint, stub)
-        assert stub.calls == n
+        assert stub.calls == 1
         assert outcome == code
         assert fidelity(far, expected.output_state) >= 1 - 1e-9
     return dist

@@ -19,7 +19,10 @@ from instaqc.circuit import (
 from instaqc.statevec import (
     CNOT,
     H,
+    MAX_GATES,
     NAMED_GATES,
+    S,
+    T,
     X,
     GateMatrix,
     basis_state,
@@ -69,6 +72,14 @@ def test_inverse_of_self_inverse_gates():
     inv = inverse(circ)
     assert [g.name for g, _ in inv.gates] == ["CNOT", "H"]
     assert [t for _, t in inv.gates] == [(0, 1), (0,)]
+
+
+def test_inverse_names_only_self_adjoint_gates():
+    circ = Circuit(1, ((S, (0,)), (X, (0,)), (T, (0,))))
+    inv = inverse(circ)
+    assert [g.name for g, _ in inv.gates] == [None, "X", None]
+    for (gate, _), (orig, _) in zip(inv.gates, reversed(circ.gates)):
+        assert np.array_equal(gate.entries, orig.entries.conj().T)
 
 
 def test_inverse_round_trip_on_random_states():
@@ -168,6 +179,19 @@ def test_random_circuit_norm_preserving():
 def test_random_circuit_negative_depth():
     with pytest.raises(ValueError, match="depth"):
         random_circuit(2, -1, np.random.default_rng(7))
+
+
+@pytest.mark.parametrize("n, per_layer", [(1, 1), (3, 4)])
+def test_random_circuit_gate_limit(n, per_layer):
+    """n gates a layer, plus one CNOT from n = 2: the depth that makes
+    MAX_GATES gates is built, one layer more is refused before any draw."""
+    limit = MAX_GATES // per_layer
+    assert len(random_circuit(n, limit, np.random.default_rng(8))) == MAX_GATES
+    rng = np.random.default_rng(8)
+    for depth in (limit + 1, 10**12):
+        with pytest.raises(ValueError, match=f"depth {depth} at n = {n} makes"):
+            random_circuit(n, depth, rng)
+    assert rng.random() == np.random.default_rng(8).random()
 
 
 def test_circuit_unitary_matches_kron():

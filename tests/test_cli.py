@@ -21,7 +21,7 @@ from instaqc.cli import (
     _stream,
     main,
 )
-from instaqc.statevec import GateMatrix, _haar_rows
+from instaqc.statevec import MAX_GATES, GateMatrix, _haar_rows
 from instaqc.strategies import STRATEGIES, _chunk_rows
 from instaqc.teleport import _bell_rows, prepare_offline
 from instaqc.timeline import TimelineReport
@@ -117,6 +117,46 @@ def test_oversized_circuit_file_rejected(tmp_path, capsys):
         code, _, err = run_cli(capsys, command, "--circuit", str(path))
         assert code == 2
         assert "n must be <= 8" in err
+
+
+# A --depth whose random circuit holds more than MAX_GATES gates: n gates a
+# layer, plus one CNOT from n = 2, and the largest n of a sweep decides.
+_DEPTH_LIMITS = [("teleport", "1", MAX_GATES), ("game", "3", MAX_GATES // 4),
+                 ("game", "1:3", MAX_GATES // 4)]
+
+
+def _depth_argv(tmp_path, command, n, depth, via_config):
+    """One trial at `depth`, given as a flag or through a --config file."""
+    if not via_config:
+        return [command, "--n", n, "--trials", "1", "--depth", str(depth)]
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"depth": depth}))
+    return [command, "--n", n, "--trials", "1", "--config", str(config)]
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+@pytest.mark.parametrize("command, n, limit", _DEPTH_LIMITS)
+def test_depth_past_the_gate_limit_rejected_before_any_allocation(
+        monkeypatch, tmp_path, capsys, command, n, limit, via_config):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ran past the size check")
+    for name in ("random_circuit", "prepare_offline", "run_game"):
+        monkeypatch.setattr(f"instaqc.cli.{name}", forbidden)
+    argv = _depth_argv(tmp_path, command, n, limit + 1, via_config)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: depth {limit + 1} at n = {n[-1]} makes ")
+    assert f"over the limit {MAX_GATES}" in err
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+@pytest.mark.parametrize("command, n, limit", _DEPTH_LIMITS[:2])
+def test_depth_at_the_gate_limit_runs(tmp_path, capsys, command, n, limit, via_config):
+    argv = _depth_argv(tmp_path, command, n, limit, via_config)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    if command == "teleport":
+        assert json.loads(out)["depth"] == limit
 
 
 def test_n_range_bounds_checked_before_expansion(capsys):

@@ -4,9 +4,10 @@ check_measurement and rsp_strategy only ask "did the first basis element
 fire?", so each decides with one `_draw` over [p, 1 - p].  The references
 below measure in a full orthonormal basis, as both functions used to; the
 comparisons are of exact values, and a stub generator pins each decision's
-threshold at p.  `_draw` and its row-wise form `_draw_rows` are checked
-against the numpy cumsum rule `_draw` replaced, and a chunk of checks
-against one-row checks.
+threshold at p.  `_draw`, which takes its uniform, and its row-wise form
+`_draw_rows` are checked against the numpy cumsum rule `_draw` replaced, a
+chunk of checks against one-row checks, and the three Bell samplers against
+the one rng.random(n) per trial that they all take.
 """
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from instaqc.statevec import (
     StateVector,
     _draw,
     _draw_rows,
+    _haar_rows,
     basis_state,
     fidelity,
     measure_in_basis,
@@ -23,9 +25,16 @@ from instaqc.statevec import (
     outcome_probabilities,
     project_out,
     sample_haar_state,
+    tensor_product,
 )
 from instaqc.strategies import rsp_strategy
-from instaqc.teleport import check_measurement, prepare_offline
+from instaqc.teleport import (
+    _bell_rows,
+    bell_measure_pairs,
+    check_measurement,
+    prepare_offline,
+    run_instantaneous,
+)
 
 
 class FixedDraw:
@@ -75,7 +84,7 @@ def test_draw_matches_cumsum_rule_at_every_boundary(length):
         cum = np.cumsum(probs / probs.sum())
         us = np.concatenate([[0.0], cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0)])
         expected = [_draw_by_cumsum(probs, u) for u in us]
-        assert [_draw(probs, FixedDraw(u)) for u in us] == expected, probs
+        assert [_draw(probs, u) for u in us] == expected, probs
         rows = _draw_rows(np.tile(probs, (len(us), 1)), us)
         assert rows.tolist() == expected, probs
 
@@ -83,9 +92,36 @@ def test_draw_matches_cumsum_rule_at_every_boundary(length):
 @pytest.mark.parametrize("u, expected", [(0.0, 0), (0.19999, 0), (0.2, 1),
                                          (0.49999, 1), (0.5, 2), (0.99999, 2)])
 def test_draw_picks_first_cumulative_above_u(u, expected):
-    rng = FixedDraw(u)
-    assert _draw(np.array([0.4, 0.6, 1.0]), rng) == expected  # normalized to /2
-    assert rng.draws == 1
+    assert _draw(np.array([0.4, 0.6, 1.0]), u) == expected  # normalized to /2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_bell_samplers_take_one_uniform_per_pair(n):
+    """One trial of `run_instantaneous` or `bell_measure_pairs` leaves the
+    generator where rng.random(n) leaves a twin, and one `_bell_rows` chunk
+    of B rows where rng.random((B, n)) does.  rng.random(n) holds the values
+    of n rng.random() calls, so every sampler sees a trial's same uniforms."""
+    states = np.random.default_rng(740 + n)
+    resource = prepare_offline(random_circuit(n, 3, states))
+    inputs = _haar_rows(n, 5, states)
+    psi = StateVector(inputs[0])
+    joint = tensor_product(psi, resource.joint_state)
+
+    def twin_after(seed, size):
+        twin = np.random.default_rng(seed)
+        twin.random(size)
+        return twin.bit_generator.state
+
+    for seed, run, size in [
+            (1, lambda rng: run_instantaneous(resource, psi, rng), n),
+            (2, lambda rng: bell_measure_pairs(joint, rng), n),
+            (3, lambda rng: _bell_rows(resource, inputs, rng), (5, n))]:
+        rng = np.random.default_rng(seed)
+        run(rng)
+        assert rng.bit_generator.state == twin_after(seed, size)
+    scalar = np.random.default_rng(4)
+    assert (np.random.default_rng(4).random(n).tolist()
+            == [scalar.random() for _ in range(n)])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -104,6 +104,18 @@ def test_resource_size_is_half_its_joint_state():
         OfflineResource(basis_state(3, 0))
 
 
+def test_resource_matrix_is_one_read_only_view():
+    """R[far, near] is the joint amplitudes, far block the row, built once
+    and sharing their memory."""
+    res = prepare_offline(random_circuit(2, 3, np.random.default_rng(30)))
+    r = res.matrix
+    assert res.matrix is r and not r.flags.writeable
+    assert np.shares_memory(r, res.joint_state.amplitudes)
+    amps = res.joint_state.amplitudes
+    assert all(r[far, near] == amps[near | far << 2]
+               for far in range(4) for near in range(4))
+
+
 def test_prepare_offline_x_gives_swapped_pattern():
     res = prepare_offline(Circuit(1, ((X, (0,)),)))
     assert np.allclose(res.joint_state.amplitudes,
