@@ -166,6 +166,9 @@ def circuit_from_dict(doc: dict) -> Circuit:
     try:
         if not isinstance(doc["gates"], list):
             raise ValueError(f"gates must be a list, got {doc['gates']!r}")
+        if len(doc["gates"]) > MAX_GATES:
+            raise ValueError(f"gates holds {len(doc['gates'])} entries, "
+                             f"over the limit {MAX_GATES}")
         for entry in doc["gates"]:
             if not isinstance(entry, dict):
                 raise ValueError(f"each gate must be a JSON object, got {entry!r}")

@@ -27,7 +27,7 @@ import numpy as np
 from numpy.random import Generator, SeedSequence, default_rng
 
 from .circuit import _check_depth, load_circuit, random_circuit
-from .statevec import MAX_QUBITS, StateVector, _fidelities, _haar_rows
+from .statevec import MAX_QUBITS, _fidelities, _haar_rows
 from .strategies import (
     STRATEGIES,
     ScoreParams,
@@ -36,7 +36,7 @@ from .strategies import (
     game_report_to_dict,
     run_game,
 )
-from .teleport import prepare_offline, run_instantaneous, run_with_corrections
+from .teleport import _bell_rows, prepare_offline, run_with_corrections
 from .timeline import simulate_timeline, timeline_config_from_dict
 
 # --strategies tokens; approximate takes its fidelity after a colon.
@@ -197,16 +197,16 @@ def _mean_and_min(fids: list[np.ndarray]):
 
 
 # Teleport trials per chunk: about 128 KiB at 160 B per amplitude, smaller
-# than the game's.  At 512 KiB an n = 5 chunk (102 rows) hands `inputs @ U.T`
-# to OpenBLAS threads, and the one-row Bell calls after it then ran ~2x
-# slower in most runs.  Seeded teleport reports depend on this figure.
+# than the game's.  At 512 KiB the batched Bell step was within noise of this
+# on trials/s at n = 2 and 5, but raised the n = 5 peak RSS by about 4%
+# (37.3 -> 38.9 MiB).  Seeded teleport reports depend on this figure.
 _TELEPORT_CHUNK_BYTES = 128 << 10
 
 
 def _run_teleport(args) -> str:
     """Plays the trials in chunks of `_chunk_rows(n, _TELEPORT_CHUNK_BYTES)`.
-    Per chunk: the Haar inputs as one array, one `run_instantaneous` call per
-    row, then the histogram, the targets `inputs @ U.T`, the success
+    Per chunk: the Haar inputs as one array, one `_bell_rows` call for the
+    Bell step, then the histogram, the targets `inputs @ U.T`, the success
     fidelities and the repair of every non-trivial row as row-wise passes
     over the chunk."""
     circ = (args.loaded_circuit if args.circuit
@@ -220,9 +220,7 @@ def _run_teleport(args) -> str:
     success_fids, corrected_fids = [], []
     for start in range(0, args.trials, chunk):
         inputs = _haar_rows(n, min(chunk, args.trials - start), rng)
-        results = [run_instantaneous(resource, StateVector(row), rng) for row in inputs]
-        codes = np.array([result.code for result in results])
-        outputs = np.array([result.output_state.amplitudes for result in results])
+        codes, outputs = _bell_rows(resource, inputs, rng)
         histogram += np.bincount(codes, minlength=4**n)
         targets = inputs @ circ.unitary.T
         ok = codes == 0

@@ -176,43 +176,20 @@ def bell_measure_pairs(joint: StateVector, rng: np.random.Generator):
     return code, StateVector(state.reshape(-1))
 
 
-def run_instantaneous(resource: OfflineResource, input_state: StateVector,
-                      rng: np.random.Generator) -> InstantRunResult:
-    """One protocol attempt: Bell-measure the input against the resource.
-
-    Input and resource are in product, so the carried state is only
-    w[near bits measured so far, input bits not yet measured], 2^n
-    amplitudes.  Pair k contracts input bit k with the four Bell vectors and
-    weighs each outcome with the resource's near-block Gram matrix
-    (`OfflineResource.near_grams`); one uniform per pair, in pair order, from
-    one rng.random(n) as in `bell_measure_pairs`, which is the reference for
-    this kernel.  The far block is read once, for the output.
-    """
-    resource._check_input(input_state)
-    w = input_state.amplitudes
-    code = 0
-    uniforms = rng.random(resource.n).tolist()
-    for k, gram in enumerate(resource.near_grams):
-        # (4, near bits 0..k, input bits k+1..): input bit k contracted
-        c = (_BELL_ROWS @ w.reshape(-1, 2).T).reshape(4, gram.shape[0], -1)
-        probs = (c.conj() * (gram @ c)).sum(axis=(1, 2)).real  # c^H G c
-        b = _draw(probs, uniforms[k])
-        code |= b << (2 * k)
-        w = c[b]
-    far = resource.matrix @ w[:, 0]
-    return InstantRunResult(code, StateVector(far / np.sqrt(probs[b])))
-
-
 def _bell_rows(resource: OfflineResource, inputs: np.ndarray,
                rng: np.random.Generator):
-    """`run_instantaneous` on every row of a (B, 2^n) array of inputs.
+    """Bell-measure each row of a (B, 2^n) array of inputs against the resource.
 
-    Draws rng.random((B, n)) first: row t holds the rng.random(n) that the
-    t-th of B sequential `run_instantaneous` calls would draw.  Per pair: one
-    matmul with the Bell rows, the weights c^H G_k c as G_k c and a row-wise
-    dot, `_draw_rows` on each row's four weights and a gather of the chosen
-    slice.  Each is one 2-D matmul or elementwise pass over the chunk.
-    Returns (outcome codes, (B, 2^n) normalized output rows).
+    Input and resource are in product, so a row carries only w[near bits
+    measured so far, input bits not yet measured], 2^n amplitudes.  Pair k
+    contracts input bit k with the four Bell vectors and weighs each outcome
+    c with c^H G_k c, G_k the resource's near-block Gram matrix
+    (`OfflineResource.near_grams`); the far block is read once, for the
+    outputs.  Draws rng.random((B, n)) first, row t's uniforms in pair order,
+    so a chunk of B rows gives what B one-row calls on the same seed would.
+    Each step is one 2-D matmul or elementwise pass over the chunk.
+    `bell_measure_pairs` is the reference for this kernel.  Returns (outcome
+    codes, (B, 2^n) normalized output rows).
     """
     rows = len(inputs)
     uniforms = rng.random((rows, resource.n))
@@ -234,6 +211,14 @@ def _bell_rows(resource: OfflineResource, inputs: np.ndarray,
         w = c[picked, :, :, b].transpose(0, 3, 1, 2)  # near bit k on top
     far = w.reshape(rows, -1) @ resource.matrix.T
     return codes, far / np.sqrt(probs[picked, b])[:, None]
+
+
+def run_instantaneous(resource: OfflineResource, input_state: StateVector,
+                      rng: np.random.Generator) -> InstantRunResult:
+    """One protocol attempt: `_bell_rows` on the input as a single row."""
+    resource._check_input(input_state)
+    codes, outputs = _bell_rows(resource, input_state.amplitudes[np.newaxis], rng)
+    return InstantRunResult(int(codes[0]), StateVector(outputs[0]))
 
 
 def force_outcome(resource: OfflineResource, input_state: StateVector, code: int):

@@ -1,10 +1,11 @@
 """The Bell-measurement kernels, checked against exact references.
 
-run_instantaneous samples from the resource's near-block Gram matrices and
-never forms input ⊗ resource; bell_measure_pairs contracts any 3n-qubit joint
-pair by pair and is its same-seed reference.  force_outcome /
-outcome_distribution are the exact slow path; the sequential measure_in_basis
-implementation below is the one the shrinking contraction replaced.
+_bell_rows, and run_instantaneous as its one-row form, samples from the
+resource's near-block Gram matrices and never forms input ⊗ resource;
+bell_measure_pairs contracts any 3n-qubit joint pair by pair and is its
+same-seed reference.  force_outcome / outcome_distribution are the exact
+slow path; the sequential measure_in_basis implementation below is the one
+the shrinking contraction replaced.
 
 The circuit resources all have near-block Gram matrices I / 2^(k+1), so every
 pair's outcomes weigh 1/4 each; the Haar-random joint states do not, so a
@@ -43,7 +44,8 @@ class ForcedDigits:
     """Stands in for a Generator.  Its one random(n) call returns, as entry
     i, the middle of the interval that the package's draw rule maps to
     base-4 digit i of `code`, under the exact conditional distribution of
-    pair i given the earlier digits (`dist` is indexed by outcome code)."""
+    pair i given the earlier digits (`dist` is indexed by outcome code).
+    A random((1, n)) call, one chunk row, gets the same values as that row."""
 
     def __init__(self, dist: np.ndarray, n: int, code: int):
         codes = np.arange(4**n)
@@ -58,9 +60,10 @@ class ForcedDigits:
         self.calls = 0
 
     def random(self, size) -> np.ndarray:
-        assert size == len(self.values)
+        n = len(self.values)
+        assert size in (n, (1, n))
         self.calls += 1
-        return np.array(self.values)
+        return np.reshape(self.values, size)
 
 
 def sequential_bell_measure(joint, rng):
@@ -157,7 +160,9 @@ def test_run_instantaneous_matches_bell_measure_pairs(kind, n):
 @pytest.mark.parametrize("kind", sorted(RESOURCES))
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_bell_rows_match_sequential_run_instantaneous(kind, n):
-    """Row t of one chunk is trial t of B one-trial calls on the same seed."""
+    """One B-row chunk equals B one-row calls of the same kernel on the same
+    seed: row t gets trial t's outcome and output, and both paths leave the
+    generator in the same state."""
     states = np.random.default_rng(650 + n)
     resource = RESOURCES[kind](n, states)
     inputs = _haar_rows(n, 40, states)
@@ -211,9 +216,10 @@ def test_circuit_resource_grams_are_maximally_mixed(n):
 
 
 def test_run_instantaneous_at_n8_stays_small():
-    """The first call at the CLI's largest size, which also builds the Gram
-    matrices (~1.4 MiB), stays far below the 8^n amplitudes of input ⊗
-    resource (256 MiB); each call carries O(2^n) amplitudes."""
+    """The first call at the CLI's largest size, a one-row call of the
+    batched kernel `_bell_rows` that also builds the Gram matrices
+    (~1.4 MiB), stays far below the 8^n amplitudes of input ⊗ resource
+    (256 MiB); each row carries O(2^n) amplitudes."""
     rng = np.random.default_rng(900)
     resource = prepare_offline(random_circuit(8, 2, rng))
     psi = sample_haar_state(8, rng)

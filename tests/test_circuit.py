@@ -194,6 +194,17 @@ def test_random_circuit_gate_limit(n, per_layer):
     assert rng.random() == np.random.default_rng(8).random()
 
 
+def test_json_gate_count_limit():
+    """MAX_GATES gates load; one more is refused before any gate is built,
+    so even entries that are not gates get the count error."""
+    doc = {"num_qubits": 1, "gates": [{"name": "H", "targets": [0]}] * MAX_GATES}
+    assert len(circuit_from_dict(doc)) == MAX_GATES
+    for gates in (doc["gates"] + doc["gates"][:1], [None] * (MAX_GATES + 1)):
+        with pytest.raises(ValueError, match=f"gates holds {MAX_GATES + 1} entries, "
+                                             f"over the limit {MAX_GATES}"):
+            circuit_from_dict({"num_qubits": 1, "gates": gates})
+
+
 def test_circuit_unitary_matches_kron():
     circ = Circuit(2, ((H, (0,)),))
     assert np.allclose(circ.unitary, np.kron(np.eye(2), H.entries))

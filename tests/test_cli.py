@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
 import instaqc
 from conftest import traced_peak
@@ -57,10 +58,9 @@ def test_teleport_success_outputs_are_exact(capsys):
 
 @pytest.mark.parametrize("n, trials", [(1, 1000), (2, 500), (3, 250)])
 def test_teleport_histogram_is_the_batched_kernel_on_the_same_streams(capsys, n, trials):
-    """Each run_instantaneous call draws its n uniforms in pair order, as
-    one row of _bell_rows does, so the chunked CLI's histogram equals a
-    _bell_rows recomputation chunk by chunk (several chunks, the last one
-    partial)."""
+    """The CLI's Bell step is one _bell_rows call per chunk on stream (1,),
+    so its histogram equals a _bell_rows recomputation chunk by chunk
+    (several chunks, the last one partial)."""
     chunk = _chunk_rows(n, _TELEPORT_CHUNK_BYTES)
     assert trials > 2 * chunk
     code, out, _ = run_cli(capsys, "teleport", "--n", str(n), "--depth", "3",
@@ -74,6 +74,25 @@ def test_teleport_histogram_is_the_batched_kernel_on_the_same_streams(capsys, n,
         histogram += np.bincount(_bell_rows(resource, inputs, rng)[0], minlength=4**n)
     expected = {str(c): int(histogram[c]) for c in np.flatnonzero(histogram)}
     assert json.loads(out)["outcome_histogram"] == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_teleport_codes_follow_the_uniform_law(capsys, n):
+    """For a circuit resource each of the 4^n Bell codes has probability
+    exactly 4^-n, whatever the input: the batched Bell step's histogram
+    passes a chi^2 test against that law (false-alarm rate 1e-6), and
+    every repaired row is the circuit's output."""
+    trials = 4000
+    code, out, _ = run_cli(capsys, "teleport", "--n", str(n), "--corrections",
+                           "--trials", str(trials), "--seed", "17")
+    assert code == 0
+    doc = json.loads(out)
+    counts = np.zeros(4**n)
+    for key, count in doc["outcome_histogram"].items():
+        counts[int(key)] = count
+    assert counts.sum() == trials
+    assert chisquare(counts).pvalue > 1e-6
+    assert doc["corrections"]["min_fidelity"] > 1 - 1e-9
 
 
 def test_teleport_at_the_size_limit_stays_small(tmp_path):
@@ -157,6 +176,21 @@ def test_depth_at_the_gate_limit_runs(tmp_path, capsys, command, n, limit, via_c
     assert code == 0
     if command == "teleport":
         assert json.loads(out)["depth"] == limit
+
+
+@pytest.mark.parametrize("command", ["teleport", "game"])
+def test_circuit_file_gate_count_limit(tmp_path, capsys, command):
+    """A --circuit file of MAX_GATES H gates runs; one gate more exits 2."""
+    path = tmp_path / "c.json"
+    for count, status in ((MAX_GATES, 0), (MAX_GATES + 1, 2)):
+        path.write_text(json.dumps(
+            {"num_qubits": 1, "gates": [{"name": "H", "targets": [0]}] * count}))
+        code, out, err = run_cli(capsys, command, "--circuit", str(path),
+                                 "--trials", "1")
+        assert code == status
+        if status:
+            assert out == ""
+            assert f"gates holds {count} entries, over the limit {MAX_GATES}" in err
 
 
 def test_n_range_bounds_checked_before_expansion(capsys):
