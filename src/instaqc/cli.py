@@ -9,16 +9,20 @@ Reproducibility scheme: the root --seed never feeds a generator directly.
 Stream j of a run is numpy SeedSequence(seed, spawn_key=K_j) where K_j is a
 fixed tuple per purpose (documented in each subcommand), so output is
 byte-identical across runs and independent of trial parallelization.
-A --config JSON file overrides any flag of the same name.
+
+Flags are `--name value` or `--name=value`, full names only, read from one
+flag table per subcommand (`_FLAGS`); `-h` prints a subcommand's flags.  A
+--config JSON file overrides any flag of the same name.  Bad argv, like bad
+config, exits 2.
 """
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import json
 import sys
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -99,7 +103,7 @@ def _check_n(values) -> None:
 
 
 def _number(key: str, text, kind=int):
-    """A flag's int (or float) value, from argparse or from config text."""
+    """A flag's int (or float) value, parsed from its argv or config text."""
     try:
         return kind(text)
     except (TypeError, ValueError):
@@ -120,22 +124,25 @@ def _parse_int_list(value: str) -> list[int]:
     return values
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    """Overlay --config file values onto parsed flags (file wins).  A switch
-    takes a JSON boolean; any other value becomes the text its flag would
-    carry, a list joined with commas, and is parsed as that text."""
+def _apply_config(args: SimpleNamespace) -> None:
+    """Overlay --config file values onto the flag values (file wins).  Its
+    keys are the names in the command's flag table, bar config.  A switch
+    takes a JSON boolean; null unsets a flag without a default; any other
+    value becomes the text its flag would carry, a list joined with commas."""
     with open(args.config) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("config file must hold a JSON object")
-    unknown = set(doc) - (set(vars(args)) - {"command", "config"})
+    flags = _FLAGS[args.command]
+    unknown = set(doc) - (set(flags) - {"config"})
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     for key, value in doc.items():
-        if isinstance(getattr(args, key), bool):  # a switch
+        default = flags[key][0]
+        if default is False:  # a switch
             if not isinstance(value, bool):
                 raise ValueError(f"{key} is a switch: true or false, got {value!r}")
-        elif value is not None:
+        elif value is not None or default is not None:
             items = value if isinstance(value, list) else [value]
             if not all(type(item) in (str, int, float) for item in items):
                 raise ValueError(
@@ -144,7 +151,7 @@ def _apply_config(args: argparse.Namespace) -> None:
         setattr(args, key, value)
 
 
-def _check_common(args: argparse.Namespace) -> None:
+def _check_common(args: SimpleNamespace) -> None:
     if args.config:
         _apply_config(args)
     args.seed = _number("seed", args.seed)
@@ -155,7 +162,7 @@ def _check_common(args: argparse.Namespace) -> None:
         raise ValueError(f"trials must be >= 1, got {args.trials}")
 
 
-def _parse_sizes(args: argparse.Namespace, ns: list[int] | None) -> list[int]:
+def _parse_sizes(args: SimpleNamespace, ns: list[int] | None) -> list[int]:
     """Check the sizes to run, `ns` from --n or a --circuit file's, and
     --depth against them: the largest n must fit MAX_GATES gates.
 
@@ -319,57 +326,114 @@ def _run_timeline(args) -> str:
 
 # --- wiring -----------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="instaqc",
-        description="Precompute-then-teleport protocol experiments.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--seed", type=int, default=0,
-                       help="root seed; all randomness derives from it")
-        p.add_argument("--config", help="JSON file whose keys override flags")
-        p.add_argument("--out", help="write output to this file instead of stdout")
-        p.add_argument("--csv", action="store_true",
-                       help="emit CSV instead of JSON")
-        p.add_argument("--trials", type=int, default=10000)
-        p.add_argument("--n", help="qubit count; game accepts lists/ranges like 1:5")
-        p.add_argument("--depth", type=int, default=3,
-                       help="layers of the generated random circuit")
-        p.add_argument("--circuit", help="circuit JSON file (instead of --n/--depth)")
-
-    p = sub.add_parser("teleport", help="run protocol trials")
-    add_common(p)
-    p.add_argument("--corrections", action="store_true",
-                   help="also repair every non-trivial outcome and report fidelities")
-
-    p = sub.add_parser("game", help="score strategies over a parameter sweep")
-    add_common(p)
-    p.add_argument("--strategies", default="instant",
-                   help=f"comma list of: {_TOKEN_LIST}")
-    p.add_argument("--reward", default=1.0, help="points P for a correct answer")
-    p.add_argument("--penalty", default="0",
-                   help="points N lost on a wrong answer; comma list sweeps")
-    p.add_argument("--cost", default=0.0, help="cost C per consumed run")
-
-    p = sub.add_parser("timeline", help="two-site deadline check")
-    p.add_argument("--config", help="TimelineConfig JSON file (default: stdin)")
-    p.add_argument("--out", help="write output to this file instead of stdout")
-    p.add_argument("--csv", action="store_true", help="emit CSV instead of JSON")
-
-    return parser
-
-
 _COMMANDS = {
-    "teleport": (_parse_teleport, _run_teleport),
-    "game": (_parse_game, _run_game),
-    "timeline": (_parse_timeline, _run_timeline),
+    "teleport": ("run protocol trials", _parse_teleport, _run_teleport),
+    "game": ("score strategies over a parameter sweep", _parse_game, _run_game),
+    "timeline": ("two-site deadline check", _parse_timeline, _run_timeline),
 }
+
+# One flag table per subcommand: name -> (default, help).  A False default
+# marks a switch.  Every other value stays text, or None when unset, until
+# the subcommand's _parse_* reads it, so argv and --config share one parse.
+_OUTPUT_FLAGS = {
+    "out": (None, "write output to this file instead of stdout"),
+    "csv": (False, "emit CSV instead of JSON"),
+}
+_RUN_FLAGS = {
+    "seed": ("0", "root seed; all randomness derives from it"),
+    "config": (None, "JSON file whose keys override flags"),
+    **_OUTPUT_FLAGS,
+    "trials": ("10000", "trials to play (per parameter point in game)"),
+    "n": (None, "qubit count; game accepts lists/ranges like 1:5"),
+    "depth": ("3", "layers of the generated random circuit"),
+    "circuit": (None, "circuit JSON file (instead of --n/--depth)"),
+}
+_FLAGS = {
+    "teleport": {
+        **_RUN_FLAGS,
+        "corrections": (False,
+                        "also repair every non-trivial outcome and report fidelities"),
+    },
+    "game": {
+        **_RUN_FLAGS,
+        "strategies": ("instant", f"comma list of: {_TOKEN_LIST}"),
+        "reward": ("1", "points P for a correct answer"),
+        "penalty": ("0", "points N lost on a wrong answer; comma list sweeps"),
+        "cost": ("0", "cost C per consumed run"),
+    },
+    "timeline": {
+        "config": (None, "TimelineConfig JSON file (default: stdin)"),
+        **_OUTPUT_FLAGS,
+    },
+}
+_HELP = ("-h", "--help")
+
+
+def _help(command: str | None) -> str:
+    """Usage and every flag's help from the flag tables: one command's, or
+    at the top level (command None) every command's."""
+    if command is None:
+        return (f"usage: instaqc {{{','.join(_COMMANDS)}}} [flags]\n"
+                "Precompute-then-teleport protocol experiments.\n"
+                + "".join("\n" + _help(name) for name in _COMMANDS))
+    lines = [f"usage: instaqc {command} [--flag value | --flag=value | --switch]...",
+             _COMMANDS[command][0]]
+    for name, (default, text) in _FLAGS[command].items():
+        flag = f"--{name}" if default is False else f"--{name} {name.upper()}"
+        lines.append(f"  {flag:<24}{text}" + (f"; default {default}" if default else ""))
+    lines.append(f"  {', '.join(_HELP):<24}print this help and exit")
+    return "\n".join(lines) + "\n"
+
+
+def _parse_argv(argv: list[str]) -> tuple[str | None, SimpleNamespace | None]:
+    """(command, flag values) from argv; the values are None when -h or
+    --help asks for help, and the command too when that comes first.
+
+    A flag is `--name value` or `--name=value`, with the full name from the
+    command's table; its value is the next token unless that starts with
+    `--`.  A switch takes no value.  Anything else raises ValueError.
+    """
+    if argv and argv[0] in _HELP:
+        return None, None
+    if not argv:
+        raise ValueError(f"a command is required: {', '.join(_COMMANDS)}")
+    command, *rest = argv
+    if command not in _FLAGS:
+        raise ValueError(f"unknown command {command!r}; choose from {', '.join(_COMMANDS)}")
+    flags = _FLAGS[command]
+    values = {name: default for name, (default, _) in flags.items()}
+    tokens = iter(rest)
+    for token in tokens:
+        if token in _HELP:
+            return command, None
+        if not token.startswith("--"):
+            raise ValueError(f"unexpected argument {token!r}")
+        name, eq, value = token[2:].partition("=")
+        if name not in flags:
+            raise ValueError(f"unknown flag '--{name}' for {command}; "
+                             f"see instaqc {command} -h")
+        if flags[name][0] is False:
+            if eq:
+                raise ValueError(f"switch '--{name}' takes no value, got {token!r}")
+            value = True
+        elif not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise ValueError(f"flag '--{name}' needs a value")
+        values[name] = value
+    return command, SimpleNamespace(command=command, **values)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    parse, run = _COMMANDS[args.command]
+    try:
+        command, args = _parse_argv(sys.argv[1:] if argv is None else argv)
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    if args is None:
+        sys.stdout.write(_help(command))
+        return 0
+    _, parse, run = _COMMANDS[command]
     try:
         args = parse(args)
     except (ValueError, TypeError, OSError) as exc:  # JSONDecodeError is a ValueError

@@ -1,22 +1,27 @@
-"""Command-line behavior: formats, exit codes, determinism, config handling."""
+"""Command-line behavior: argv, formats, exit codes, determinism, config handling."""
 import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.stats import chisquare
 
 import instaqc
 from conftest import traced_peak
 from instaqc.circuit import Circuit, random_circuit, save_circuit
 from instaqc.cli import (
+    _COMMANDS,
+    _FLAGS,
     _TELEPORT_CHUNK_BYTES,
     _fmt,
     _json_dumps,
+    _parse_argv,
     _parse_int_list,
     _parse_strategy_token,
     _stream,
@@ -503,6 +508,9 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     ("game", {"n": [1, True]}, "n"),
     ("game", {"reward": True, "n": 1}, "reward"),
     ("game", {"penalty": {"N": 1}, "n": 1}, "penalty"),
+    ("game", {"penalty": None}, "penalty"),
+    ("game", {"strategies": None}, "strategies"),
+    ("teleport", {"seed": None}, "seed"),
 ])
 def test_config_values_parse_like_flag_text(tmp_path, capsys, command, doc, key):
     config = tmp_path / "run.json"
@@ -726,10 +734,110 @@ def test_unwritable_output_is_runtime_error(monkeypatch, capsys):
     assert code == 1
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def _fresh_interpreter(probe: str) -> str:
     src = os.path.dirname(os.path.dirname(instaqc.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    probe = "import sys, instaqc.cli; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                         text=True, check=True, env=env).stdout
-    assert out.strip() == "False"
+    return subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True, env=env).stdout.strip()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    assert _fresh_interpreter(
+        "import sys, instaqc.cli; print('scipy' in sys.modules)") == "False"
+
+
+def test_a_run_loads_neither_argparse_nor_locale(tmp_path):
+    """argparse's first parser imports gettext and locale and compiles its
+    regexes, a one-off cost of some ms on every run; the flag tables need
+    neither module."""
+    argv = ["teleport", "--n", "1", "--trials", "5", "--out", str(tmp_path / "o.json")]
+    probe = ("import sys; from instaqc.cli import main; "
+             f"assert main({argv!r}) == 0; "
+             "print(sorted({'argparse', 'locale'} & set(sys.modules)))")
+    assert _fresh_interpreter(probe) == "[]"
+    assert json.loads((tmp_path / "o.json").read_text())["trials"] == 5
+
+
+# --- argv -------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, token", [
+    ([], "command"),
+    (["quantum"], "'quantum'"),
+    (["teleport", "--bogus"], "'--bogus'"),
+    (["teleport", "--trials"], "'--trials'"),
+    (["teleport", "--n", "--trials", "5"], "'--n'"),
+    (["timeline", "--n", "3"], "'--n'"),
+    (["teleport", "--n", "1", "--csv=1"], "'--csv=1'"),
+    (["teleport", "--n", "1", "stray"], "'stray'"),
+    (["teleport", "--penalty", "1"], "'--penalty'"),
+    (["teleport", "--corr", "--n", "1"], "'--corr'"),
+])
+def test_bad_argv_exits_2_naming_the_token(capsys, argv, token):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert token in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["--help"], ["teleport", "-h"], ["game", "--help"], ["timeline", "-h"],
+    ["game", "--n", "1", "-h"],
+])
+def test_help_lists_every_flag_of_the_table(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert err == ""
+    commands = [argv[0]] if argv[0] in _FLAGS else list(_FLAGS)
+    for command in commands:
+        assert f"usage: instaqc {command} " in out
+        for name, (_, text) in _FLAGS[command].items():
+            assert re.search(rf"^  --{name}\b.*{re.escape(text)}", out, re.M), name
+
+
+@pytest.mark.parametrize("command", ["teleport", "game"])
+def test_equals_form_reads_like_two_tokens(capsys, command):
+    code, spaced, _ = run_cli(capsys, command, "--n", "2", "--trials", "50")
+    assert code == 0
+    code, joined, _ = run_cli(capsys, command, "--n=2", "--trials=50")
+    assert code == 0
+    assert joined == spaced
+
+
+# short values, good and bad; none is -h, so no token asks for help
+_ARGV_VALUES = st.sampled_from(["0", "1", "2", "3", "9", "-1", "2.5", "1e3", "nan", "",
+                                " ", ".", "x", "1:3", "0:2", "1,,2", "0,10", "instant,rsp",
+                                "approx:0.5", "approx:2", "true", "-", "=", "1=2"])
+
+
+def _argv_of(command):
+    """argv of one command: mostly its own flags with values, as two tokens
+    or one, and now and then a lone flag, --bogus or a stray token."""
+    names = [f"--{name}" for name in _FLAGS[command]]
+    flags = st.sampled_from(names)
+    pair = st.tuples(flags, _ARGV_VALUES)
+    joined = st.builds("{}={}".format, flags, _ARGV_VALUES).map(lambda t: (t,))
+    odd = st.tuples(st.sampled_from([*names, "--bogus"]) | _ARGV_VALUES)
+    return st.lists(pair | joined | pair | joined | odd, max_size=5).map(
+        lambda units: [command, *(token for unit in units for token in unit)])
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=st.one_of([_argv_of(command) for command in _FLAGS]))
+def test_argv_boundary_raises_only_what_main_maps_to_2(monkeypatch, tmp_path, argv):
+    """Any argv either fails _parse_argv with ValueError or reaches the
+    command's _parse_* and fails there, if at all, with an exception main()
+    reports as exit 2.  Run from an empty directory, no --config or --circuit
+    value names a file, and no command runs."""
+    monkeypatch.chdir(tmp_path)
+    _feed_stdin(monkeypatch, TIMELINE)
+    try:
+        command, args = _parse_argv(argv)
+    except ValueError:
+        return
+    assert args is not None
+    try:
+        _COMMANDS[command][1](args)
+    except (ValueError, TypeError, OSError):
+        pass
