@@ -41,6 +41,7 @@ from .teleport import (
     CORRECTIONS,
     InstantRunResult,
     OfflineResource,
+    TeleportReport,
     bell_measure_pairs,
     check_measurement,
     force_outcome,
@@ -48,7 +49,9 @@ from .teleport import (
     outcome_distribution,
     prepare_offline,
     run_instantaneous,
+    run_trials,
     run_with_corrections,
+    teleport_report_to_dict,
 )
 from .strategies import (
     CLASSICAL_BASIS,

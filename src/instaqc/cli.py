@@ -24,23 +24,20 @@ import sys
 from dataclasses import asdict
 from types import SimpleNamespace
 
-import numpy as np
-
 # numpy.random loads lazily; importing it here keeps that one-off cost in
 # start-up, out of the trial loop of every teleport and game run.
 from numpy.random import Generator, SeedSequence, default_rng
 
 from .circuit import _check_depth, load_circuit, random_circuit
-from .statevec import MAX_QUBITS, _fidelities, _haar_rows
+from .statevec import MAX_QUBITS
 from .strategies import (
     STRATEGIES,
     ScoreParams,
     StrategyKind,
-    _chunk_rows,
     game_report_to_dict,
     run_game,
 )
-from .teleport import _bell_rows, prepare_offline, run_with_corrections
+from .teleport import prepare_offline, run_trials, teleport_report_to_dict
 from .timeline import simulate_timeline, timeline_config_from_dict
 
 # --strategies tokens; approximate takes its fidelity after a colon.
@@ -197,72 +194,18 @@ def _parse_teleport(args):
     return args
 
 
-def _mean_and_min(fids: list[np.ndarray]):
-    """(mean, min) of the fidelities of several chunks; (None, None) for none."""
-    fids = np.concatenate(fids)
-    return (float(fids.mean()), float(fids.min())) if len(fids) else (None, None)
-
-
-# Teleport trials per chunk: about 128 KiB at 160 B per amplitude, smaller
-# than the game's.  At 512 KiB the batched Bell step was within noise of this
-# on trials/s at n = 2 and 5, but raised the n = 5 peak RSS by about 4%
-# (37.3 -> 38.9 MiB).  Seeded teleport reports depend on this figure.
-_TELEPORT_CHUNK_BYTES = 128 << 10
-
-
 def _run_teleport(args) -> str:
-    """Plays the trials in chunks of `_chunk_rows(n, _TELEPORT_CHUNK_BYTES)`.
-    Per chunk: the Haar inputs as one array, one `_bell_rows` call for the
-    Bell step, then the histogram, the targets `inputs @ U.T`, the success
-    fidelities and the repair of every non-trivial row as row-wise passes
-    over the chunk."""
     circ = (args.loaded_circuit if args.circuit
             else random_circuit(args.n, args.depth, _stream(args.seed, 0)))
-    n = circ.num_qubits
-    resource = prepare_offline(circ)
-    rng = _stream(args.seed, 1)
-    chunk = _chunk_rows(n, _TELEPORT_CHUNK_BYTES)
-
-    histogram = np.zeros(4**n, dtype=np.int64)
-    success_fids, corrected_fids = [], []
-    for start in range(0, args.trials, chunk):
-        inputs = _haar_rows(n, min(chunk, args.trials - start), rng)
-        codes, outputs = _bell_rows(resource, inputs, rng)
-        histogram += np.bincount(codes, minlength=4**n)
-        targets = inputs @ circ.unitary.T
-        ok = codes == 0
-        success_fids.append(_fidelities(outputs[ok], targets[ok]))
-        if args.corrections:
-            corrected, _ = run_with_corrections(codes[~ok], outputs[~ok], circ)
-            corrected_fids.append(_fidelities(corrected, targets[~ok]))
-    success_count = int(histogram[0])
-    mean_success, min_success = _mean_and_min(success_fids)
-
-    report = {
-        "n": n,
-        "trials": args.trials,
-        "seed": args.seed,
-        "success_count": success_count,
-        "success_rate": success_count / args.trials,
-        "expected_success_rate": 4.0**-n,
-        "mean_success_fidelity": mean_success,
-        "min_success_fidelity": min_success,
-    }
-    if args.csv:  # the scalar summary above is the CSV row
-        return _csv([report])
-    report["circuit_file"] = args.circuit
-    report["depth"] = None if args.circuit else args.depth
-    report["outcome_histogram"] = {str(code): int(histogram[code])
-                                   for code in np.flatnonzero(histogram)}
-    if args.corrections:
-        mean_corrected, min_corrected = _mean_and_min(corrected_fids)
-        report["corrections"] = {
-            "runs": args.trials - success_count,
-            "extra_executions_per_run": 2,
-            "mean_fidelity": mean_corrected,
-            "min_fidelity": min_corrected,
-        }
-    return _json_dumps(report)
+    report = run_trials(circ, args.trials, _stream(args.seed, 1), args.corrections)
+    doc = teleport_report_to_dict(report)
+    # the CSV row is the scalar summary, with the seed after the trials
+    doc = {"n": doc.pop("n"), "trials": doc.pop("trials"), "seed": args.seed, **doc}
+    if args.csv:
+        return _csv([{k: v for k, v in doc.items() if not isinstance(v, dict)}])
+    doc["circuit_file"] = args.circuit
+    doc["depth"] = None if args.circuit else args.depth
+    return _json_dumps(doc)
 
 
 # --- game -------------------------------------------------------------------

@@ -20,7 +20,7 @@ from .statevec import (
     _check_outcome_probability,
     _haar_rows,
 )
-from .teleport import OfflineResource, check_measurement, prepare_offline
+from .teleport import OfflineResource, _chunk_rows, check_measurement, prepare_offline
 
 # Game trials per chunk: about 512 KiB of working set at 160 B per amplitude
 # (1638 rows at n = 1, 204 at n = 4, 12 at n = 8).  Traced per chunk
@@ -31,11 +31,6 @@ from .teleport import OfflineResource, check_measurement, prepare_offline
 # added at most ~15% at n <= 6, and at 2 MiB an n = 3 chunk hands its small
 # matmuls to OpenBLAS threads and runs 4-8x slower.
 _CHUNK_BYTES = 512 << 10
-
-
-def _chunk_rows(n: int, budget: int = _CHUNK_BYTES) -> int:
-    """Rows of a chunk of n-qubit trials that fits `budget` bytes."""
-    return max(1, budget // (160 << n))
 
 
 @dataclass(frozen=True)
@@ -334,7 +329,7 @@ def run_game(kind: StrategyKind, circuit: Circuit, params: ScoreParams,
     entry = STRATEGIES[kind.name]
     if entry.needs_resource and resource is None:
         resource = prepare_offline(circuit)
-    chunk = _chunk_rows(circuit.num_qubits)
+    chunk = _chunk_rows(circuit.num_qubits, _CHUNK_BYTES)
 
     answered = correct = 0
     for start in range(0, trials, chunk):

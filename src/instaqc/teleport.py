@@ -18,7 +18,7 @@ the tests.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -33,6 +33,7 @@ from .statevec import (
     _draw,
     _draw_rows,
     _fidelities,
+    _haar_rows,
     _targets_to_front,
     project_out,
     tensor_product,
@@ -291,6 +292,130 @@ def run_with_corrections(codes: np.ndarray, outputs: np.ndarray, circuit: Circui
     fixed = np.take_along_axis(unrun, idx ^ xmask[:, np.newaxis], axis=1)
     fixed *= 1 - 2 * _parity(idx & zmask[:, np.newaxis], n)
     return fixed @ circuit.unitary.T, 2
+
+
+# Teleport trials per chunk: about 128 KiB at 160 B per amplitude, smaller
+# than the game's.  At 512 KiB the batched Bell step was within noise of this
+# on trials/s at n = 2 and 5, but raised the n = 5 peak RSS by about 4%
+# (37.3 -> 38.9 MiB).  Seeded teleport reports depend on this figure.
+_TELEPORT_CHUNK_BYTES = 128 << 10
+
+
+def _chunk_rows(n: int, budget: int) -> int:
+    """Rows of a chunk of n-qubit trials that fits `budget` bytes."""
+    return max(1, budget // (160 << n))
+
+
+def _mean_and_min(fids: list[np.ndarray]):
+    """(mean, min) of the fidelities of several chunks; (None, None) for none."""
+    fids = np.concatenate(fids)
+    return (float(fids.mean()), float(fids.min())) if len(fids) else (None, None)
+
+
+@dataclass(frozen=True)
+class RepairSummary:
+    """The repair of a run's non-trivial outcomes: rows repaired, the extra
+    circuit executions each cost, and the repaired rows' fidelities."""
+
+    runs: int
+    extra_executions_per_run: int
+    mean_fidelity: float | None
+    min_fidelity: float | None
+
+
+@dataclass(frozen=True, eq=False)
+class TeleportReport:
+    """Outcome histogram and fidelity summaries of a run of protocol trials;
+    n, the counts and the rates are derived from the histogram.
+
+    `histogram[code]` counts the trials that read outcome `code`, 4^n
+    entries.  Fidelities are against the circuit's output on each trial's
+    input; a summary is None when no trial fell in its branch.  `corrections`
+    is None unless the run repaired its non-trivial outcomes.
+    """
+
+    histogram: np.ndarray
+    mean_success_fidelity: float | None
+    min_success_fidelity: float | None
+    corrections: RepairSummary | None
+
+    @property
+    def n(self) -> int:
+        """Pairs measured: the histogram has 4^n entries."""
+        return (len(self.histogram).bit_length() - 1) // 2
+
+    @property
+    def trials(self) -> int:
+        return int(self.histogram.sum())
+
+    @property
+    def success_count(self) -> int:
+        """Trials that read the all-trivial outcome, code 0."""
+        return int(self.histogram[0])
+
+    @property
+    def success_rate(self) -> float:
+        return self.success_count / self.trials
+
+    @property
+    def expected_success_rate(self) -> float:
+        return 4.0**-self.n
+
+
+def teleport_report_to_dict(report: TeleportReport) -> dict:
+    """The report as one JSON document: the scalar summary first (the CLI's
+    CSV row), then the nonzero histogram entries and any repair block."""
+    doc = {
+        "n": report.n,
+        "trials": report.trials,
+        "success_count": report.success_count,
+        "success_rate": report.success_rate,
+        "expected_success_rate": report.expected_success_rate,
+        "mean_success_fidelity": report.mean_success_fidelity,
+        "min_success_fidelity": report.min_success_fidelity,
+        "outcome_histogram": {str(code): int(report.histogram[code])
+                              for code in np.flatnonzero(report.histogram)},
+    }
+    if report.corrections is not None:
+        doc["corrections"] = asdict(report.corrections)
+    return doc
+
+
+def run_trials(circuit: Circuit, trials: int, rng: np.random.Generator,
+               corrections: bool = False) -> TeleportReport:
+    """Play `trials` protocol attempts against `prepare_offline(circuit)`,
+    each on a Haar-random input, and repair every non-trivial outcome if
+    `corrections`.
+
+    Trials are played in chunks of `_chunk_rows(n, _TELEPORT_CHUNK_BYTES)`.
+    Per chunk: the Haar inputs as one array, one `_bell_rows` call for the
+    Bell step, then the histogram, the targets `inputs @ U.T`, the success
+    fidelities and the repair of every non-trivial row as row-wise passes
+    over the chunk.
+    """
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
+    n = circuit.num_qubits
+    resource = prepare_offline(circuit)
+    chunk = _chunk_rows(n, _TELEPORT_CHUNK_BYTES)
+
+    histogram = np.zeros(4**n, dtype=np.int64)
+    success_fids, corrected_fids = [], []
+    for start in range(0, trials, chunk):
+        inputs = _haar_rows(n, min(chunk, trials - start), rng)
+        codes, outputs = _bell_rows(resource, inputs, rng)
+        histogram += np.bincount(codes, minlength=4**n)
+        targets = inputs @ circuit.unitary.T
+        ok = codes == 0
+        success_fids.append(_fidelities(outputs[ok], targets[ok]))
+        if corrections:
+            corrected, extra = run_with_corrections(codes[~ok], outputs[~ok], circuit)
+            corrected_fids.append(_fidelities(corrected, targets[~ok]))
+    repair = None
+    if corrections:
+        repair = RepairSummary(sum(map(len, corrected_fids)), extra,
+                               *_mean_and_min(corrected_fids))
+    return TeleportReport(histogram, *_mean_and_min(success_fids), repair)
 
 
 def check_measurement(outputs: np.ndarray, corrects: np.ndarray,

@@ -32,11 +32,11 @@ from instaqc.strategies import (
     run_game,
 )
 from instaqc.teleport import (
-    _bell_rows,
     check_measurement,
     force_outcome,
     outcome_distribution,
     prepare_offline,
+    run_trials,
     run_with_corrections,
 )
 from instaqc.timeline import TimelineConfig, simulate_timeline
@@ -62,15 +62,9 @@ def test_criterion_01_outcome_probabilities():
             worst = max(worst, float(dev))
     exhaustive_ok = worst <= 1e-9
 
-    n = 3
-    resource = prepare_offline(random_circuit(n, 3, rng))
-    psi = sample_haar_state(n, rng)
-    trials, chunk = 100000, 10000
-    hits = 0
-    for _ in range(trials // chunk):  # rng.random((chunk, n)) per call, pair order
-        codes, _ = _bell_rows(resource, np.tile(psi.amplitudes, (chunk, 1)), rng)
-        hits += int((codes == 0).sum())
-    rate, band = rate_band_3sigma(hits, trials)
+    n, trials = 3, 100000
+    report = run_trials(random_circuit(n, 3, rng), trials, rng)
+    rate, band = rate_band_3sigma(report.success_count, trials)
     sampled_ok = abs(rate - 4.0**-n) <= band
     elapsed = time.monotonic() - start
     _verdict(
@@ -85,24 +79,16 @@ def test_criterion_02_success_branch_exact():
     rng = np.random.default_rng(1002)
     worst = 1.0
     for n in (1, 2, 3):
+        # 32 * 4^n trials miss the all-trivial outcome with probability < e^-32
+        trials = 32 * 4**n
         for _ in range(50):
-            circuit = random_circuit(n, 3, rng)
-            resource = prepare_offline(circuit)
-            psi = sample_haar_state(n, rng)
-            # rejection sampling in chunks of 8 * 4^n attempts, cap is generous
-            chunk = 8 * 4**n
-            for _ in range(0, 200 * 4**n, chunk):
-                codes, outputs = _bell_rows(
-                    resource, np.tile(psi.amplitudes, (chunk, 1)), rng)
-                if (codes == 0).any():
-                    break
-            else:
-                _verdict(False, "criterion 2: no success within attempt cap")
-            output = StateVector(outputs[np.argmax(codes == 0)])
-            worst = min(worst, fidelity(output, apply_circuit(circuit, psi)))
+            report = run_trials(random_circuit(n, 3, rng), trials, rng)
+            if report.success_count == 0:
+                _verdict(False, f"criterion 2: no success in {trials} trials at n={n}")
+            worst = min(worst, report.min_success_fidelity)
     _verdict(worst >= 1 - 1e-9,
              f"criterion 2: success-branch fidelity >= 1-1e-9 "
-             f"(50 runs at n=1,2,3; worst {worst:.12f})")
+             f"(50 circuits at n=1,2,3; worst {worst:.12f})")
 
 
 def test_criterion_03_corrections_complete():

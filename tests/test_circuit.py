@@ -136,8 +136,8 @@ def test_random_circuit_deterministic_under_seed():
 
 def test_random_circuit_gates_match_scipy_haar_bitwise():
     # random_circuit draws each 2x2 gate with scipy's unitary_group recipe,
-    # reimplemented in numpy (one stacked draw and QR per layer) so the
-    # package does not import scipy
+    # reimplemented in numpy (one normal draw per layer, then one stacked QR
+    # over every layer's gates) so the package does not import scipy
     for n in (1, 2, 3, 5, 8):
         layer = n + (n >= 2)  # n gates, then a CNOT when there is a pair
         for seed in range(20):

@@ -6,10 +6,12 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from scipy.stats import chisquare
 
 import instaqc
@@ -18,7 +20,6 @@ from instaqc.circuit import Circuit, random_circuit, save_circuit
 from instaqc.cli import (
     _COMMANDS,
     _FLAGS,
-    _TELEPORT_CHUNK_BYTES,
     _fmt,
     _json_dumps,
     _parse_argv,
@@ -27,9 +28,15 @@ from instaqc.cli import (
     _stream,
     main,
 )
-from instaqc.statevec import MAX_GATES, GateMatrix, _haar_rows
-from instaqc.strategies import STRATEGIES, _chunk_rows
-from instaqc.teleport import _bell_rows, prepare_offline
+from instaqc.statevec import MAX_GATES, GateMatrix
+from instaqc.strategies import STRATEGIES
+from instaqc.teleport import (
+    _TELEPORT_CHUNK_BYTES,
+    _chunk_rows,
+    prepare_offline,
+    run_trials,
+    teleport_report_to_dict,
+)
 from instaqc.timeline import TimelineReport
 
 
@@ -63,22 +70,18 @@ def test_teleport_success_outputs_are_exact(capsys):
 
 @pytest.mark.parametrize("n, trials", [(1, 1000), (2, 500), (3, 250)])
 def test_teleport_histogram_is_the_batched_kernel_on_the_same_streams(capsys, n, trials):
-    """The CLI's Bell step is one _bell_rows call per chunk on stream (1,),
-    so its histogram equals a _bell_rows recomputation chunk by chunk
-    (several chunks, the last one partial)."""
-    chunk = _chunk_rows(n, _TELEPORT_CHUNK_BYTES)
-    assert trials > 2 * chunk
+    """The CLI draws its circuit on stream (0,) and plays its trials with
+    run_trials on stream (1,), so its JSON is that report's dict plus the
+    seed, circuit file and depth it adds (several chunks, the last partial)."""
+    assert trials > 2 * _chunk_rows(n, _TELEPORT_CHUNK_BYTES)
     code, out, _ = run_cli(capsys, "teleport", "--n", str(n), "--depth", "3",
                            "--trials", str(trials), "--seed", "5", "--corrections")
     assert code == 0
-    resource = prepare_offline(random_circuit(n, 3, _stream(5, 0)))
-    rng = _stream(5, 1)
-    histogram = np.zeros(4**n, dtype=int)
-    for start in range(0, trials, chunk):
-        inputs = _haar_rows(n, min(chunk, trials - start), rng)
-        histogram += np.bincount(_bell_rows(resource, inputs, rng)[0], minlength=4**n)
-    expected = {str(c): int(histogram[c]) for c in np.flatnonzero(histogram)}
-    assert json.loads(out)["outcome_histogram"] == expected
+    report = run_trials(random_circuit(n, 3, _stream(5, 0)), trials, _stream(5, 1),
+                        corrections=True)
+    expected = {**teleport_report_to_dict(report),
+                "seed": 5, "circuit_file": None, "depth": 3}
+    assert json.loads(out) == expected
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -127,7 +130,7 @@ def test_teleport_rejects_zero_n(capsys):
 def test_oversized_n_rejected_before_any_allocation(monkeypatch, capsys, argv):
     def forbidden(*args, **kwargs):
         raise AssertionError("ran past the size check")
-    for name in ("random_circuit", "prepare_offline", "run_game"):
+    for name in ("random_circuit", "prepare_offline", "run_game", "run_trials"):
         monkeypatch.setattr(f"instaqc.cli.{name}", forbidden)
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
@@ -164,7 +167,7 @@ def test_depth_past_the_gate_limit_rejected_before_any_allocation(
         monkeypatch, tmp_path, capsys, command, n, limit, via_config):
     def forbidden(*args, **kwargs):
         raise AssertionError("ran past the size check")
-    for name in ("random_circuit", "prepare_offline", "run_game"):
+    for name in ("random_circuit", "prepare_offline", "run_game", "run_trials"):
         monkeypatch.setattr(f"instaqc.cli.{name}", forbidden)
     argv = _depth_argv(tmp_path, command, n, limit + 1, via_config)
     code, out, err = run_cli(capsys, *argv)
@@ -432,7 +435,7 @@ def test_non_unitary_circuit_file_is_bad_input(monkeypatch, tmp_path, capsys, co
 
     def forbidden(*args, **kwargs):
         raise AssertionError("ran past the parse")
-    for name in ("prepare_offline", "run_game"):
+    for name in ("prepare_offline", "run_game", "run_trials"):
         monkeypatch.setattr(f"instaqc.cli.{name}", forbidden)
     code, out, err = run_cli(capsys, command, "--circuit", str(path), "--trials", "5")
     assert code == 2
@@ -841,3 +844,87 @@ def test_argv_boundary_raises_only_what_main_maps_to_2(monkeypatch, tmp_path, ar
         _COMMANDS[command][1](args)
     except (ValueError, TypeError, OSError):
         pass
+
+
+# --- JSON boundaries -------------------------------------------------------------
+
+_HUGE = 10**400  # no float holds it
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers(-2, 9) | st.just(_HUGE)
+                | st.floats() | st.sampled_from(["", "1", "2:3", "0,10", "instant,rsp",
+                                                 "approx:0.5", "H", "CNOT", "x", "nan"]))
+_JSON_KEYS = st.sampled_from(sorted({*_FLAGS["teleport"], *_FLAGS["game"], *TIMELINE,
+                                     "num_qubits", "gates", "name", "targets",
+                                     "matrix", "bogus"}))
+_JSON = st.recursive(_JSON_LEAVES, lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(_JSON_KEYS, inner, max_size=3), max_leaves=8)
+_JSON_EDGES = st.sampled_from([None, True, "", [], {}, float("nan"), float("inf"), _HUGE])
+
+# (command, how the document arrives) -> a valid document, which drawn
+# documents vary by dropping keys and setting others to random values
+_BOUNDARIES = {
+    ("teleport", "--circuit"): {"num_qubits": 2, "gates": [
+        {"name": "H", "targets": [0]}, {"name": "CNOT", "targets": [0, 1]},
+        {"matrix": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]], "targets": [1]}]},
+    ("game", "--circuit"): {"num_qubits": 1, "gates": [{"name": "T", "targets": [0]}]},
+    ("teleport", "--config"): {"n": 2, "depth": 2, "trials": 5, "corrections": True},
+    ("game", "--config"): {"n": "1:2", "strategies": "instant,approx:0.5",
+                           "penalty": [0, 10], "trials": 5},
+    ("timeline", "stdin"): TIMELINE,
+}
+
+
+@st.composite
+def _boundary_documents(draw):
+    """(command, source, document, seed): a quarter of the time any JSON
+    value, else the boundary's valid document with each key kept, dropped or
+    set to an edge value or any JSON value, and half the time one more key
+    set to any JSON value."""
+    command, source = draw(st.sampled_from(sorted(_BOUNDARIES)))
+    seed = draw(st.integers(0, 2**64 - 1))
+    if not draw(st.integers(0, 3)):
+        return command, source, draw(_JSON), seed
+    doc = {}
+    for key, value in _BOUNDARIES[command, source].items():
+        fate = draw(st.sampled_from(["keep", "keep", "drop", "set"]))
+        if fate != "drop":
+            doc[key] = value if fate == "keep" else draw(_JSON_EDGES | _JSON)
+    if draw(st.booleans()):
+        doc[draw(_JSON_KEYS)] = draw(_JSON)
+    return command, source, doc, seed
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-finite number {token} in the output")
+
+
+@settings(max_examples=250, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_boundary_documents())
+def test_json_boundaries_exit_0_or_2_and_print_strict_json(monkeypatch, tmp_path, capsys,
+                                                           case):
+    """A --circuit file, a --config file or timeline stdin holding any JSON
+    document: main() returns 0 or 2 and does not raise, and an exit-0 JSON
+    report parses with NaN and Infinity rejected.  Each run starts in an
+    empty directory, where a config's `out` writes its report."""
+    command, source, doc, seed = case
+    # a trials count has no upper bound, and 10^400 trials would never end
+    assume(not (source == "--config" and isinstance(doc, dict)
+                and str(_HUGE) in json.dumps(doc.get("trials"))))
+    run_dir = Path(tempfile.mkdtemp(dir=tmp_path))
+    monkeypatch.chdir(run_dir)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    if source == "stdin":
+        _feed_stdin(monkeypatch, doc)
+        argv = [command]
+    elif source == "--circuit":
+        argv = [command, source, str(path), "--trials", "3", "--seed", str(seed)]
+    else:  # the flags set what the document leaves unset
+        argv = [command, source, str(path), "--n", "1", "--trials", "3",
+                "--seed", str(seed)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code in (0, 2)
+    csv_run = source == "--config" and isinstance(doc, dict) and doc.get("csv") is True
+    if code == 0 and not csv_run:
+        text = out + "".join(p.read_text() for p in run_dir.iterdir())
+        json.loads(text, parse_constant=_reject_constant)

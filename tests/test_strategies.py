@@ -24,8 +24,8 @@ from instaqc.strategies import (
     GameReport,
     ScoreParams,
     StrategyKind,
+    _CHUNK_BYTES,
     _approximate_rows,
-    _chunk_rows,
     _classical_rows,
     _project_rows,
     approximate,
@@ -38,7 +38,7 @@ from instaqc.strategies import (
     rsp_strategy,
     run_game,
 )
-from instaqc.teleport import OfflineResource, force_outcome, prepare_offline
+from instaqc.teleport import OfflineResource, _chunk_rows, force_outcome, prepare_offline
 
 
 # --- types ---------------------------------------------------------------------
@@ -375,8 +375,8 @@ def test_run_game_at_n8_stays_small():
     circ = random_circuit(8, 2, np.random.default_rng(150))
     circ.unitary  # compiled before tracing: 1 MiB, cached on the circuit
     trials = 300
-    assert _chunk_rows(8) == 12
-    assert trials >= 3 * _chunk_rows(8)
+    assert _chunk_rows(8, _CHUNK_BYTES) == 12
+    assert trials >= 3 * _chunk_rows(8, _CHUNK_BYTES)
     for name in STRATEGIES:
         kind = approximate(0.9) if name == "approximate" else StrategyKind(name)
         rng = np.random.default_rng(151)
@@ -452,7 +452,7 @@ def test_cost_accounting():
 def test_run_game_plays_every_trial_across_chunk_boundaries(n, chunks, extra):
     """One trial short of a chunk, a full chunk, one past it and one past
     two: the last partial chunk is played and no trial is played twice."""
-    trials = chunks * _chunk_rows(n) + extra
+    trials = chunks * _chunk_rows(n, _CHUNK_BYTES) + extra
     circ = random_circuit(n, 2, np.random.default_rng(180 + n))
     for kind, answered in ((RANDOM_GUESS, trials), (approximate(0.9), trials),
                            (NO_ANSWER, 0)):

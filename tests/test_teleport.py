@@ -24,9 +24,11 @@ from instaqc.statevec import (
     tensor_product,
 )
 from instaqc.teleport import (
+    _TELEPORT_CHUNK_BYTES,
     BELL_BASIS,
     CORRECTIONS,
     OfflineResource,
+    _chunk_rows,
     _pair_outcome_vector,
     bell_measure_pairs,
     check_measurement,
@@ -35,6 +37,7 @@ from instaqc.teleport import (
     outcome_distribution,
     prepare_offline,
     run_instantaneous,
+    run_trials,
     run_with_corrections,
 )
 
@@ -426,3 +429,25 @@ def test_check_measurement_haar_mean_quarter():
                                correct.amplitudes[None], rng)[1]
              for _ in range(20000)]
     assert_within_3sigma(probs, 0.25)
+
+
+# --- trial runner ---------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("chunks, extra", [(1, -1), (1, 0), (1, 1), (2, 1)])
+def test_run_trials_plays_every_trial_across_chunk_boundaries(n, chunks, extra):
+    """One trial short of a chunk, a full chunk, one past it and one past
+    two: the last partial chunk is played, no trial is played twice, and
+    every non-trivial trial is repaired."""
+    trials = chunks * _chunk_rows(n, _TELEPORT_CHUNK_BYTES) + extra
+    circ = random_circuit(n, 2, np.random.default_rng(190 + n))
+    report = run_trials(circ, trials, np.random.default_rng(191), corrections=True)
+    assert report.histogram.sum() == report.trials == trials
+    assert report.corrections.runs == trials - report.success_count
+    assert report.corrections.extra_executions_per_run == 2
+    assert report.corrections.min_fidelity > 1 - 1e-9
+
+
+def test_run_trials_needs_a_trial():
+    with pytest.raises(ValueError, match="trials >= 1"):
+        run_trials(Circuit(1), 0, np.random.default_rng(192))
