@@ -41,8 +41,8 @@ print()
 
 # Everything below this line happens before psi is known.
 resource = prepare_offline(circuit)
-print(f"offline resource prepared: {resource.joint_state.num_qubits} qubits "
-      f"({n} near, {n} far, circuit already applied to the far block)")
+print(f"offline resource prepared: R[far, near] of shape {resource.matrix.shape} "
+      f"({n} near, {n} far qubits, circuit already applied to the far block)")
 print()
 
 # The measurement outcome is uniform over all 4^n correction frames.

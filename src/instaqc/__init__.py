@@ -45,7 +45,6 @@ from .teleport import (
     bell_measure_pairs,
     check_measurement,
     force_outcome,
-    make_bell_pairs,
     outcome_distribution,
     prepare_offline,
     run_instantaneous,

@@ -17,6 +17,7 @@ from .statevec import (
     StateVector,
     _apply_gate_batch,
     _check_gate_targets,
+    _check_size,
     _unitarity_error,
 )
 
@@ -45,6 +46,7 @@ class Circuit:
         """Read-only 2**n x 2**n matrix of the circuit (little-endian index),
         built on first access and checked for unitarity once."""
         n = self.num_qubits
+        _check_size(2 * n)  # 4^n entries, a 2n-qubit register's worth
         # Row j carries basis state j through the gates: the rows end as the
         # columns of the unitary.
         rows = np.eye(1 << n, dtype=complex)

@@ -5,10 +5,10 @@ Subcommands:
   game       strategy scoring sweeps; one report row per parameter point
   timeline   two-site deadline arithmetic from a JSON config
 
-Reproducibility scheme: the root --seed never feeds a generator directly.
-Stream j of a run is numpy SeedSequence(seed, spawn_key=K_j) where K_j is a
-fixed tuple per purpose (documented in each subcommand), so output is
-byte-identical across runs and independent of trial parallelization.
+Reproducibility: the root --seed never feeds a generator directly.  Stream j
+of a run is SeedSequence(seed, spawn_key=K_j), K_j a fixed tuple per purpose
+(documented in each subcommand), so output is byte-identical across runs.
+Draws come chunk by chunk, so output also depends on the chunk size, fixed per n.
 
 Flags are `--name value` or `--name=value`, full names only, read from one
 flag table per subcommand (`_FLAGS`); `-h` prints a subcommand's flags.  A
@@ -87,7 +87,7 @@ def _parse_strategy_token(token: str) -> StrategyKind:
     return StrategyKind(_TOKENS[head], _number(key, arg, float) if colon else None)
 
 
-# The resource holds 2n qubits, so n is capped at half the register limit.
+# The resource is 2^n x 2^n (4^n amplitudes), so n is half the register limit.
 MAX_N = MAX_QUBITS // 2
 
 
@@ -155,8 +155,8 @@ def _check_common(args: SimpleNamespace) -> None:
     if not 0 <= args.seed < 2**64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {args.seed}")
     args.trials = _number("trials", args.trials)
-    if args.trials < 1:
-        raise ValueError(f"trials must be >= 1, got {args.trials}")
+    if not 1 <= args.trials <= 2**53:  # past 2^53 a count is not an exact float
+        raise ValueError(f"trials must be in [1, 2**53], got {args.trials}")
 
 
 def _parse_sizes(args: SimpleNamespace, ns: list[int] | None) -> list[int]:

@@ -19,7 +19,7 @@ import numpy as np
 
 NORM_TOL = 1e-9
 UNITARY_TOL = 1e-9
-# The register limit: the 2n-qubit resource up to n = 8, 3n-qubit references to n = 5.
+# The register limit: the 2^n x 2^n resource to n = 8, 3n-qubit references to n = 5.
 MAX_QUBITS = 16
 # The gate limit of a generated circuit.  Every gate keeps its own matrix, a
 # GateMatrix and its targets, ~1 KiB of RSS each, so an unchecked --depth

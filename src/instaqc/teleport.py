@@ -23,8 +23,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .circuit import Circuit, apply_circuit
+from .circuit import Circuit
 from .statevec import (
+    NORM_TOL,
     X,
     Z,
     GateMatrix,
@@ -67,29 +68,39 @@ CORRECTIONS: dict[tuple[int, int], tuple[GateMatrix, ...]] = {
 
 @dataclass(frozen=True, eq=False)
 class OfflineResource:
-    """Entangled 2n-qubit state with the circuit already run on the far block."""
+    """The offline state as R[far, near], a read-only 2^n x 2^n matrix.  For a
+    circuit U run on the far halves of n Bell pairs, R = U 2^(-n/2), U's Choi state."""
 
-    joint_state: StateVector
+    matrix: np.ndarray
 
     def __post_init__(self):
-        if self.joint_state.num_qubits % 2:
-            raise ValueError("joint state needs an even qubit count, "
-                             f"got {self.joint_state.num_qubits}")
+        shape = np.shape(self.matrix)
+        n = shape[0].bit_length() - 1 if shape else 0
+        if n < 1 or shape != (1 << n, 1 << n):
+            raise ValueError(f"need a 2**n x 2**n matrix, n >= 1; got shape {shape}")
+        _check_size(2 * n)
+        mat = np.array(self.matrix, dtype=complex)
+        norm_sq = float(np.vdot(mat, mat).real)
+        # Negated so a NaN or inf entry, which makes norm_sq non-finite, fails.
+        if not abs(norm_sq - 1.0) <= NORM_TOL:
+            raise ValueError(f"resource not normalized: sum |R|^2 = {norm_sq!r}")
+        mat.setflags(write=False)
+        object.__setattr__(self, "matrix", mat)
 
     @property
     def n(self) -> int:
         """Pairs held: the near and far blocks are n qubits each."""
-        return self.joint_state.num_qubits // 2
+        return self.matrix.shape[0].bit_length() - 1
 
     def _check_input(self, state: StateVector) -> None:
         if state.num_qubits != self.n:
             raise ValueError(
                 f"input has {state.num_qubits} qubits, resource expects {self.n}")
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """R[far, near]: the joint amplitudes as a read-only 2^n x 2^n view."""
-        return self.joint_state.amplitudes.reshape(1 << self.n, -1)
+    @property
+    def joint_state(self) -> StateVector:
+        """The 2n-qubit register: amplitude near | far << n is R[far, near]."""
+        return StateVector(self.matrix.reshape(-1))
 
     @cached_property
     def near_grams(self) -> tuple[np.ndarray, ...]:
@@ -121,22 +132,9 @@ class InstantRunResult:
         return self.code == 0
 
 
-def make_bell_pairs(n: int) -> StateVector:
-    """n Bell pairs |Φ⁺⟩, pair i on qubits (i, n+i) of a 2n-qubit register."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    _check_size(2 * n)
-    amps = np.zeros(1 << (2 * n), dtype=complex)
-    scale = 2.0 ** (-n / 2)
-    for a in range(1 << n):
-        amps[a | (a << n)] = scale
-    return StateVector(amps)
-
-
 def prepare_offline(circuit: Circuit) -> OfflineResource:
-    """Run the circuit on the far halves of fresh Bell pairs."""
-    n = circuit.num_qubits
-    return OfflineResource(apply_circuit(circuit, make_bell_pairs(n), offset=n))
+    """The circuit run on the far halves of fresh Bell pairs: R = U 2^(-n/2)."""
+    return OfflineResource(circuit.unitary * 2.0 ** (-circuit.num_qubits / 2))
 
 
 def _pair_outcome_vector(n: int, code: int) -> np.ndarray:

@@ -81,7 +81,7 @@ def sequential_bell_measure(joint, rng):
 
 def haar_resource(n: int, rng) -> OfflineResource:
     """A resource whose joint state is Haar-random rather than prepared."""
-    return OfflineResource(sample_haar_state(2 * n, rng))
+    return OfflineResource(sample_haar_state(2 * n, rng).amplitudes.reshape(2**n, 2**n))
 
 
 def circuit_resource(n: int, rng) -> OfflineResource:
@@ -203,8 +203,7 @@ def test_near_grams_are_read_only_hermitian_unit_trace(kind, n):
         assert not gram.flags.writeable
         assert np.abs(gram - gram.conj().T).max() <= 1e-12
         assert abs(np.trace(gram) - 1.0) <= 1e-12
-    side = 1 << n
-    r = resource.joint_state.amplitudes.reshape(side, side)
+    r = resource.matrix
     assert np.abs(grams[-1] - r.conj().T @ r).max() <= 1e-12
 
 

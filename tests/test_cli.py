@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.stats import chisquare
 
 import instaqc
@@ -44,6 +44,17 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+_RUNS = ("random_circuit", "prepare_offline", "run_game", "run_trials")
+
+
+def _forbid(monkeypatch, names=_RUNS):
+    """Make each name in `cli` raise, so a test sees a run start."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ran past the parse")
+    for name in names:
+        monkeypatch.setattr(f"instaqc.cli.{name}", forbidden)
 
 
 def test_teleport_json_report(capsys):
@@ -128,13 +139,38 @@ def test_teleport_rejects_zero_n(capsys):
     ("game", "--n", "2," + str(10**9), "--strategies", "random"),
 ])
 def test_oversized_n_rejected_before_any_allocation(monkeypatch, capsys, argv):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("ran past the size check")
-    for name in ("random_circuit", "prepare_offline", "run_game", "run_trials"):
-        monkeypatch.setattr(f"instaqc.cli.{name}", forbidden)
+    _forbid(monkeypatch)
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "n must be <= 8" in err
+
+
+def _trials_argv(tmp_path, command, trials, via_config):
+    """`trials` at n = 1, given as a flag or through a --config file."""
+    if not via_config:
+        return [command, "--n", "1", "--trials", str(trials)]
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"trials": trials}))
+    return [command, "--n", "1", "--config", str(config)]
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+@pytest.mark.parametrize("command", ["teleport", "game"])
+def test_trials_past_2_53_rejected_before_any_run(monkeypatch, tmp_path, capsys,
+                                                  command, via_config):
+    _forbid(monkeypatch)
+    code, out, err = run_cli(capsys, *_trials_argv(tmp_path, command, 2**53 + 1,
+                                                   via_config))
+    assert (code, out) == (2, "")
+    assert f"config error: trials must be in [1, 2**53], got {2**53 + 1}" in err
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+@pytest.mark.parametrize("command", ["teleport", "game"])
+def test_trials_at_2_53_parses(tmp_path, command, via_config):
+    """The limit itself is a valid count; only the parse runs here."""
+    _, args = _parse_argv(_trials_argv(tmp_path, command, 2**53, via_config))
+    assert _COMMANDS[command][1](args).trials == 2**53
 
 
 def test_oversized_circuit_file_rejected(tmp_path, capsys):
@@ -165,10 +201,7 @@ def _depth_argv(tmp_path, command, n, depth, via_config):
 @pytest.mark.parametrize("command, n, limit", _DEPTH_LIMITS)
 def test_depth_past_the_gate_limit_rejected_before_any_allocation(
         monkeypatch, tmp_path, capsys, command, n, limit, via_config):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("ran past the size check")
-    for name in ("random_circuit", "prepare_offline", "run_game", "run_trials"):
-        monkeypatch.setattr(f"instaqc.cli.{name}", forbidden)
+    _forbid(monkeypatch)
     argv = _depth_argv(tmp_path, command, n, limit + 1, via_config)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
@@ -432,11 +465,7 @@ def test_non_unitary_circuit_file_is_bad_input(monkeypatch, tmp_path, capsys, co
     drift = GateMatrix(np.diag([1.0, 1.0 + 4e-10]))
     path = tmp_path / "drift.json"
     save_circuit(Circuit(1, ((drift, (0,)),) * 200), path)
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("ran past the parse")
-    for name in ("prepare_offline", "run_game", "run_trials"):
-        monkeypatch.setattr(f"instaqc.cli.{name}", forbidden)
+    _forbid(monkeypatch, _RUNS[1:])
     code, out, err = run_cli(capsys, command, "--circuit", str(path), "--trials", "5")
     assert code == 2
     assert out == ""
@@ -907,9 +936,6 @@ def test_json_boundaries_exit_0_or_2_and_print_strict_json(monkeypatch, tmp_path
     report parses with NaN and Infinity rejected.  Each run starts in an
     empty directory, where a config's `out` writes its report."""
     command, source, doc, seed = case
-    # a trials count has no upper bound, and 10^400 trials would never end
-    assume(not (source == "--config" and isinstance(doc, dict)
-                and str(_HUGE) in json.dumps(doc.get("trials"))))
     run_dir = Path(tempfile.mkdtemp(dir=tmp_path))
     monkeypatch.chdir(run_dir)
     path = tmp_path / "doc.json"

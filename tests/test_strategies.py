@@ -220,7 +220,7 @@ def test_rsp_refuses_near_zero_outcome():
     an input with |<0|known>|^2 below 1e-12 is refused before any draw, as
     any projection onto a (near-)zero-probability outcome is; one above it
     fires and renormalizes."""
-    resource = OfflineResource(basis_state(2, 0))
+    resource = OfflineResource(basis_state(2, 0).amplitudes.reshape(2, 2))
 
     class CountingRng:
         draws = 0
@@ -332,7 +332,8 @@ def test_instant_sampler_fires_exactly_below_the_all_trivial_probability(kind, n
     states = np.random.default_rng(160 + n)
     circuit = random_circuit(n, 3, states)
     resource = (prepare_offline(circuit) if kind == "circuit"
-                else OfflineResource(sample_haar_state(2 * n, states)))
+                else OfflineResource(
+                    sample_haar_state(2 * n, states).amplitudes.reshape(2**n, 2**n)))
     rows = 6
     inputs = _haar_rows(n, rows, np.random.default_rng(n))  # the sampler's first draw
     forced = [force_outcome(resource, StateVector(row), 0) for row in inputs]

@@ -33,7 +33,6 @@ from instaqc.teleport import (
     bell_measure_pairs,
     check_measurement,
     force_outcome,
-    make_bell_pairs,
     outcome_distribution,
     prepare_offline,
     run_instantaneous,
@@ -66,33 +65,77 @@ def test_force_outcome_rejects_codes_out_of_range(n):
             force_outcome(res, basis_state(n, 0), code)
 
 
-def test_make_bell_pairs_single():
-    state = make_bell_pairs(1)
-    assert np.allclose(state.amplitudes, [1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)])
+def _bell_pairs_then_circuit(circuit: Circuit) -> np.ndarray:
+    """Reference: n Bell pairs |Φ⁺⟩, pair i on qubits (i, n+i) of a 2n-qubit
+    register, with the circuit run on the far block, read as R[far, near]."""
+    n = circuit.num_qubits
+    amps = np.zeros(1 << (2 * n), dtype=complex)
+    for a in range(1 << n):
+        amps[a | (a << n)] = 2.0 ** (-n / 2)
+    joint = apply_circuit(circuit, StateVector(amps), offset=n)
+    return joint.amplitudes.reshape(1 << n, 1 << n)
 
 
-def test_make_bell_pairs_two():
-    state = make_bell_pairs(2)
-    for idx in range(16):
-        expected = 0.5 if (idx & 3) == (idx >> 2) else 0.0
-        assert abs(state.amplitudes[idx] - expected) < 1e-12
+def _bits(mat: np.ndarray) -> bytes:
+    return np.ascontiguousarray(mat, dtype=complex).tobytes()
 
 
-def test_make_bell_pairs_near_block_maximally_mixed():
-    for n in (1, 2, 3):
-        state = make_bell_pairs(n)
-        probs = outcome_probabilities(state, range(n), np.eye(1 << n))
-        assert np.abs(probs - 2.0**-n).max() < 1e-9
+@pytest.mark.parametrize("n", range(1, 9))
+def test_prepare_offline_is_the_choi_matrix(n):
+    """R = U 2^(-n/2), bitwise equal to Bell pairs with the circuit run on
+    their far halves; the empty circuit gives I 2^(-n/2)."""
+    circ = random_circuit(n, 3, np.random.default_rng(20 + n))
+    r = prepare_offline(circ).matrix
+    assert _bits(r) == _bits(_bell_pairs_then_circuit(circ))
+    assert _bits(r) == _bits(circ.unitary * 2 ** (-n / 2))
+    empty = prepare_offline(Circuit(n)).matrix
+    assert _bits(empty) == _bits(_bell_pairs_then_circuit(Circuit(n)))
+    assert _bits(empty) == _bits(np.eye(1 << n) * 2 ** (-n / 2))
 
 
-def test_make_bell_pairs_size_limit():
-    n = MAX_QUBITS // 2 + 1  # 2n qubits: 4 MiB of amplitudes if built
-
+def test_prepare_offline_size_limit():
+    """One pair past the limit is refused before U's 4^n entries are built."""
     def build():
         with pytest.raises(ValueError, match="limit"):
-            make_bell_pairs(n)
+            prepare_offline(Circuit(MAX_QUBITS // 2 + 1))
 
-    assert traced_peak(build) < (16 << (2 * n)) // 16
+    assert traced_peak(build) < 64 << 10
+
+
+_OVER = 1 << (MAX_QUBITS // 2 + 1)  # side of R one pair past the register limit
+_SHAPE = r"2\*\*n x 2\*\*n"
+
+
+@pytest.mark.parametrize("matrix, match", [
+    (basis_state(2, 0).amplitudes, _SHAPE),
+    (basis_state(3, 0).amplitudes.reshape(2, 4), _SHAPE),
+    (np.full((3, 3), 1 / 3), _SHAPE),
+    (np.ones((1, 1)), _SHAPE),
+    (np.array([[np.nan, 0], [0, 0]]), "not normalized"),
+    (np.array([[np.inf, 0], [0, 0]]), "not normalized"),
+    (np.array([[1, 0], [0, 1j]]), "not normalized"),
+    (np.eye(_OVER) / np.sqrt(_OVER), "limit"),
+], ids=["1-d", "non-square", "3x3", "1x1", "nan", "inf", "unnormalized", "oversized"])
+def test_offline_resource_rejects_a_bad_matrix(matrix, match):
+    """Shape and size are checked before the copy, so an oversized R is
+    refused without a second 4 MiB allocation."""
+    def build():
+        with pytest.raises(ValueError, match=match):
+            OfflineResource(matrix)
+
+    assert traced_peak(build) < matrix.nbytes // 16 + (64 << 10)
+
+
+def test_offline_resource_keeps_a_read_only_copy():
+    assert prepare_offline(Circuit(3)).n == 3
+    source = prepare_offline(Circuit(2)).matrix.copy()
+    res = OfflineResource(source)
+    assert res.n == 2 and not res.matrix.flags.writeable
+    assert not np.shares_memory(res.matrix, source)
+    source[0, 0] = 0.0
+    assert res.matrix[0, 0] == 0.5
+    as_list = OfflineResource([[2**-0.5, 0], [0, 2**-0.5]])
+    assert as_list.matrix.dtype == complex and not as_list.matrix.flags.writeable
 
 
 def test_prepare_offline_identity_keeps_pair():
@@ -101,19 +144,13 @@ def test_prepare_offline_identity_keeps_pair():
                        [1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)])
 
 
-def test_resource_size_is_half_its_joint_state():
-    assert prepare_offline(Circuit(3)).n == 3
-    with pytest.raises(ValueError, match="even"):
-        OfflineResource(basis_state(3, 0))
-
-
 def test_resource_matrix_is_one_read_only_view():
-    """R[far, near] is the joint amplitudes, far block the row, built once
-    and sharing their memory."""
+    """R[far, near] is the resource's one stored form, the same read-only
+    array on every read; the joint amplitudes derive from it, far block
+    high."""
     res = prepare_offline(random_circuit(2, 3, np.random.default_rng(30)))
     r = res.matrix
     assert res.matrix is r and not r.flags.writeable
-    assert np.shares_memory(r, res.joint_state.amplitudes)
     amps = res.joint_state.amplitudes
     assert all(r[far, near] == amps[near | far << 2]
                for far in range(4) for near in range(4))
