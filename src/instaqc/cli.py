@@ -8,7 +8,10 @@ Subcommands:
 Reproducibility: the root --seed never feeds a generator directly.  Stream j
 of a run is SeedSequence(seed, spawn_key=K_j), K_j a fixed tuple per purpose
 (documented in each subcommand), so output is byte-identical across runs.
-Draws come chunk by chunk, so output also depends on the chunk size, fixed per n.
+Teleport output does not depend on how its trials are chunked: inputs and
+Bell uniforms have a stream each, drawn row by row.  A game point draws
+everything from its one stream chunk by chunk, so its row also depends on the
+game's chunk size, fixed per n.
 
 Flags are `--name value` or `--name=value`, full names only, read from one
 flag table per subcommand (`_FLAGS`); `-h` prints a subcommand's flags.  A
@@ -186,7 +189,8 @@ def _parse_sizes(args: SimpleNamespace, ns: list[int] | None) -> list[int]:
 
 
 # --- teleport ---------------------------------------------------------------
-# Streams: (0,) circuit generation; (1,) trial loop.
+# Streams: (0,) circuit generation; (1,) trial loop, from which run_trials
+# spawns (1, 0) for the Haar inputs and (1, 1) for the Bell uniforms.
 
 def _parse_teleport(args):
     _check_common(args)

@@ -293,10 +293,11 @@ def sample_haar_state(num_qubits: int, rng: np.random.Generator) -> StateVector:
 
 def _haar_rows(num_qubits: int, rows: int, rng: np.random.Generator) -> np.ndarray:
     """`rows` Haar-random states as the rows of a (rows, 2**n) array: iid
-    complex Gaussians (all real parts drawn first), normalized row-wise."""
+    complex Gaussians, normalized row-wise.  The draws come row by row, each
+    amplitude's real and imaginary parts together, so `rows` = a + b gives
+    the rows of an a-row call and then a b-row call on the same generator."""
     _check_size(num_qubits)
-    shape = (rows, 1 << num_qubits)
-    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    z = rng.standard_normal((rows, 1 << num_qubits, 2)).view(complex)[..., 0]
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 

@@ -205,6 +205,7 @@ def _bell_rows(resource: OfflineResource, inputs: np.ndarray,
         # Re(c^H G c) as a dot of (re, im) interleaved views
         probs = np.einsum("tbi,tbi->tb", near.reshape(rows, 4, -1).view(float),
                           gc.reshape(rows, 4, -1).view(float))
+        del near, gc  # freed before the pick below and the next pair's arrays
         b = _draw_rows(probs, uniforms[:, k])
         codes |= b << (2 * k)
         w = c[picked, :, :, b].transpose(0, 3, 1, 2)  # near bit k on top
@@ -292,16 +293,29 @@ def run_with_corrections(codes: np.ndarray, outputs: np.ndarray, circuit: Circui
     return fixed @ circuit.unitary.T, 2
 
 
-# Teleport trials per chunk: about 128 KiB at 160 B per amplitude, smaller
-# than the game's.  At 512 KiB the batched Bell step was within noise of this
-# on trials/s at n = 2 and 5, but raised the n = 5 peak RSS by about 4%
-# (37.3 -> 38.9 MiB).  Seeded teleport reports depend on this figure.
-_TELEPORT_CHUNK_BYTES = 128 << 10
+# Teleport trials per chunk: about 256 KiB at 160 B per amplitude (204 rows at
+# n = 3, 51 at n = 5, 6 at n = 8), half the game's; n = 1 and 2 keep 128 KiB
+# (409 and 204 rows).  Seeded reports do not depend on it, so it is a speed
+# constant: a chunk costs a few dozen numpy calls whatever its size.  On a
+# 2-vCPU x86 VM, perfbench `teleport-wide` (n = 5) ran 16% more trials/s with
+# 256 KiB chunks than the one-stream code did with 128 KiB (10 of 10 pairs,
+# peak RSS +1.0%); 512 KiB was no faster than 256 KiB (2 of 4 pairs) and
+# added another 1.7% of peak RSS.
+# n <= 2 gains ~10% at 256 KiB too, but that puts `teleport-repair`'s main()
+# under 4 ms, where perfbench's run.py often loses the child's result
+# (ROADMAP item 1); move n <= 2 to 256 KiB once that is mended.
+_TELEPORT_CHUNK_BYTES = 256 << 10
 
 
 def _chunk_rows(n: int, budget: int) -> int:
     """Rows of a chunk of n-qubit trials that fits `budget` bytes."""
     return max(1, budget // (160 << n))
+
+
+def _teleport_chunk_rows(n: int) -> int:
+    """Rows of a `run_trials` chunk at n qubits (see `_TELEPORT_CHUNK_BYTES`)."""
+    budget = _TELEPORT_CHUNK_BYTES if n > 2 else _TELEPORT_CHUNK_BYTES // 2
+    return _chunk_rows(n, budget)
 
 
 def _mean_and_min(fids: list[np.ndarray]):
@@ -385,23 +399,26 @@ def run_trials(circuit: Circuit, trials: int, rng: np.random.Generator,
     each on a Haar-random input, and repair every non-trivial outcome if
     `corrections`.
 
-    Trials are played in chunks of `_chunk_rows(n, _TELEPORT_CHUNK_BYTES)`.
-    Per chunk: the Haar inputs as one array, one `_bell_rows` call for the
-    Bell step, then the histogram, the targets `inputs @ U.T`, the success
-    fidelities and the repair of every non-trivial row as row-wise passes
-    over the chunk.
+    The inputs and the Bell uniforms come from two streams spawned from
+    `rng`, each drawn row by row, so the report does not depend on how the
+    trials are split: trials are played in chunks of `_teleport_chunk_rows(n)`
+    rows for speed alone.  Per chunk: the Haar inputs as one array, one
+    `_bell_rows` call for the Bell step, then the histogram, the targets
+    `inputs @ U.T`, the success fidelities and the repair of every
+    non-trivial row as row-wise passes over the chunk.
     """
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     n = circuit.num_qubits
     resource = prepare_offline(circuit)
-    chunk = _chunk_rows(n, _TELEPORT_CHUNK_BYTES)
+    chunk = _teleport_chunk_rows(n)
+    input_rng, bell_rng = rng.spawn(2)
 
     histogram = np.zeros(4**n, dtype=np.int64)
     success_fids, corrected_fids = [], []
     for start in range(0, trials, chunk):
-        inputs = _haar_rows(n, min(chunk, trials - start), rng)
-        codes, outputs = _bell_rows(resource, inputs, rng)
+        inputs = _haar_rows(n, min(chunk, trials - start), input_rng)
+        codes, outputs = _bell_rows(resource, inputs, bell_rng)
         histogram += np.bincount(codes, minlength=4**n)
         targets = inputs @ circuit.unitary.T
         ok = codes == 0

@@ -31,8 +31,7 @@ from instaqc.cli import (
 from instaqc.statevec import MAX_GATES, GateMatrix
 from instaqc.strategies import STRATEGIES
 from instaqc.teleport import (
-    _TELEPORT_CHUNK_BYTES,
-    _chunk_rows,
+    _teleport_chunk_rows,
     prepare_offline,
     run_trials,
     teleport_report_to_dict,
@@ -79,12 +78,12 @@ def test_teleport_success_outputs_are_exact(capsys):
     assert doc["corrections"]["runs"] == 200 - doc["success_count"]
 
 
-@pytest.mark.parametrize("n, trials", [(1, 1000), (2, 500), (3, 250)])
+@pytest.mark.parametrize("n, trials", [(1, 1000), (2, 500), (3, 500)])
 def test_teleport_histogram_is_the_batched_kernel_on_the_same_streams(capsys, n, trials):
     """The CLI draws its circuit on stream (0,) and plays its trials with
     run_trials on stream (1,), so its JSON is that report's dict plus the
     seed, circuit file and depth it adds (several chunks, the last partial)."""
-    assert trials > 2 * _chunk_rows(n, _TELEPORT_CHUNK_BYTES)
+    assert trials > 2 * _teleport_chunk_rows(n)
     code, out, _ = run_cli(capsys, "teleport", "--n", str(n), "--depth", "3",
                            "--trials", str(trials), "--seed", "5", "--corrections")
     assert code == 0
@@ -117,7 +116,7 @@ def test_teleport_codes_follow_the_uniform_law(capsys, n):
 def test_teleport_at_the_size_limit_stays_small(tmp_path):
     """n = 8 with repairs: the 1 MiB joint state (and its copies while the
     circuit runs on it), the 1 MiB unitary, 1.3 MiB of near-block Grams and a
-    0.5 MiB histogram; the chunks themselves are 3 rows."""
+    0.5 MiB histogram; the chunks themselves are 6 rows."""
     argv = ["teleport", "--n", "8", "--depth", "2", "--trials", "20",
             "--corrections", "--out", str(tmp_path / "out.json")]
     assert traced_peak(lambda: main(argv)) < 8 << 20

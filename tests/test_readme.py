@@ -1,5 +1,5 @@
-"""README examples: each Python block runs, and the game CSV sample is what
-its command prints."""
+"""README examples: each Python block runs, and the teleport JSON and game
+CSV samples are what their commands print."""
 import re
 import shlex
 from pathlib import Path
@@ -18,11 +18,24 @@ def test_python_block_runs(index, capsys):
     exec(compile(PYTHON_BLOCKS[index], f"README.md python block {index}", "exec"), {})
 
 
-def test_game_csv_sample_is_the_output(capsys):
+def _command_and_sample(command):
+    """argv of the sh block that starts with `command`, and the block after it."""
     position = next(i for i, (lang, body) in enumerate(BLOCKS)
-                    if lang == "sh" and body.startswith("instaqc game"))
+                    if lang == "sh" and body.startswith(command))
     argv = shlex.split(BLOCKS[position][1].replace("\\\n", " "))[1:]
-    sample = BLOCKS[position + 1][1].splitlines()
+    return argv, BLOCKS[position + 1]
+
+
+def test_teleport_json_sample_is_the_output(capsys):
+    argv, (lang, sample) = _command_and_sample("instaqc teleport")
+    assert lang == "json"
+    assert main(argv) == 0
+    assert capsys.readouterr().out == sample
+
+
+def test_game_csv_sample_is_the_output(capsys):
+    argv, (_, sample) = _command_and_sample("instaqc game")
+    sample = sample.splitlines()
     assert sample[-1] == "..."
     assert main(argv) == 0
     rows = capsys.readouterr().out.splitlines()

@@ -346,6 +346,19 @@ def test_haar_rows_draw_what_sample_haar_state_draws():
     assert_within_3sigma(np.abs(rows[:, 0]) ** 2, 0.25)
 
 
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_haar_rows_split_into_two_calls_draw_the_same_rows(n):
+    """Rows are drawn one after another, so a + b rows are the a rows of one
+    call then the b rows of the next on the same generator, bitwise, and
+    both leave the generator in the same state."""
+    for a, b in [(1, 1), (1, 6), (5, 11), (40, 1)]:
+        whole, split = np.random.default_rng(30 + a), np.random.default_rng(30 + a)
+        rows = _haar_rows(n, a + b, whole)
+        parts = np.concatenate([_haar_rows(n, a, split), _haar_rows(n, b, split)])
+        assert rows.tobytes() == parts.tobytes()
+        assert whole.random() == split.random()
+
+
 @pytest.mark.parametrize("dim", [2, 4, 8])
 def test_basis_completion_orthonormal(dim):
     rng = np.random.default_rng(16 + dim)

@@ -15,6 +15,7 @@ from instaqc.statevec import (
     Z,
     GateMatrix,
     StateVector,
+    _haar_rows,
     apply_gate,
     basis_state,
     fidelity,
@@ -24,12 +25,13 @@ from instaqc.statevec import (
     tensor_product,
 )
 from instaqc.teleport import (
-    _TELEPORT_CHUNK_BYTES,
     BELL_BASIS,
     CORRECTIONS,
     OfflineResource,
+    _bell_rows,
     _chunk_rows,
     _pair_outcome_vector,
+    _teleport_chunk_rows,
     bell_measure_pairs,
     check_measurement,
     force_outcome,
@@ -476,13 +478,58 @@ def test_run_trials_plays_every_trial_across_chunk_boundaries(n, chunks, extra):
     """One trial short of a chunk, a full chunk, one past it and one past
     two: the last partial chunk is played, no trial is played twice, and
     every non-trivial trial is repaired."""
-    trials = chunks * _chunk_rows(n, _TELEPORT_CHUNK_BYTES) + extra
+    trials = chunks * _teleport_chunk_rows(n) + extra
     circ = random_circuit(n, 2, np.random.default_rng(190 + n))
     report = run_trials(circ, trials, np.random.default_rng(191), corrections=True)
     assert report.histogram.sum() == report.trials == trials
     assert report.corrections.runs == trials - report.success_count
     assert report.corrections.extra_executions_per_run == 2
     assert report.corrections.min_fidelity > 1 - 1e-9
+
+
+def _summaries(report):
+    repair = report.corrections
+    return (report.mean_success_fidelity, report.min_success_fidelity,
+            repair.mean_fidelity, repair.min_fidelity)
+
+
+@pytest.mark.parametrize("n, trials", [(1, 900), (2, 700), (3, 500), (5, 500)])
+def test_report_does_not_depend_on_the_chunk_budget(monkeypatch, n, trials):
+    """Inputs and Bell uniforms come from two spawned streams, each drawn row
+    by row, so the chunk budget only sets speed.  A one-row budget, 16 KiB,
+    256 KiB and 2 MiB (halved at n <= 2) give the same histogram and repair
+    count, and the same fidelity summaries bitwise across the multi-row
+    budgets.  numpy multiplies a one-row block by another routine, so
+    one-row chunks may move the summaries in the last bits, within 1e-15."""
+    circ = random_circuit(n, 3, np.random.default_rng(230 + n))
+    reports = {}
+    for budget in (1, 16 << 10, 256 << 10, 2 << 20):
+        monkeypatch.setattr("instaqc.teleport._TELEPORT_CHUNK_BYTES", budget)
+        assert (_teleport_chunk_rows(n) == 1) == (budget == 1)
+        reports[budget] = run_trials(circ, trials, np.random.default_rng(231),
+                                     corrections=True)
+    one_row = reports.pop(1)
+    for report in reports.values():
+        assert np.array_equal(report.histogram, one_row.histogram)
+        assert report.corrections.runs == one_row.corrections.runs
+        assert _summaries(report) == _summaries(reports[16 << 10])
+        for value, single in zip(_summaries(report), _summaries(one_row)):
+            assert (value is None) == (single is None)
+            assert value is None or abs(value - single) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_bell_rows_chunk_peak_per_amplitude(n):
+    """A 256 KiB chunk of the Bell step holds one pair's arrays at a time:
+    the chunk's candidates c, their near-ordered copy and G c, ~13 copies of
+    the input's size: ~215-236 B per input amplitude, ~290-308 B if a pair's
+    arrays live on into the next pair's.  The bound sits between the two."""
+    resource = prepare_offline(random_circuit(n, 3, np.random.default_rng(240 + n)))
+    resource.near_grams  # built before the traced call
+    rows = _chunk_rows(n, 256 << 10)
+    inputs = _haar_rows(n, rows, np.random.default_rng(241))
+    peak = traced_peak(lambda: _bell_rows(resource, inputs, np.random.default_rng(242)))
+    assert peak < 260 * (rows << n)
 
 
 def test_run_trials_needs_a_trial():
