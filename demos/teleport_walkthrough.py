@@ -10,6 +10,7 @@ other outcome is fixable if you are willing to run the circuit twice more.
 import numpy as np
 
 from instaqc import (
+    EXTRA_EXECUTIONS_PER_REPAIR,
     StateVector,
     apply_circuit,
     check_measurement,
@@ -64,12 +65,12 @@ print()
 print("forced sweep over all outcomes, repaired by the correction path:")
 outputs = np.array([force_outcome(resource, psi, code)[1]
                     .output_state.amplitudes for code in range(4**n)])
-fixed, extra = run_with_corrections(np.arange(4**n), outputs, circuit)
+fixed = run_with_corrections(np.arange(4**n), outputs, circuit)
 for code in range(4**n):
     # code 0 needs no repair: its row is used as it stands
     row = outputs[code] if code == 0 else fixed[code]
     f = fidelity(StateVector(row), target)
-    tag = "free" if code == 0 else f"{extra} extra circuit executions"
+    tag = "free" if code == 0 else f"{EXTRA_EXECUTIONS_PER_REPAIR} extra circuit executions"
     print(f"  outcome {code:2d} {digits(code)} -> fidelity {f:.12f} ({tag})")
 print()
 

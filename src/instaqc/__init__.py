@@ -39,6 +39,7 @@ from .circuit import (
 from .teleport import (
     BELL_BASIS,
     CORRECTIONS,
+    EXTRA_EXECUTIONS_PER_REPAIR,
     InstantRunResult,
     OfflineResource,
     TeleportReport,

@@ -60,16 +60,12 @@ class Circuit:
         return mat
 
 
-def apply_circuit(circuit: Circuit, state: StateVector, offset: int = 0) -> StateVector:
-    """Run the circuit on `state`, with circuit qubit i mapped to qubit offset+i."""
-    k = circuit.num_qubits
-    if offset < 0 or offset + k > state.num_qubits:
-        raise ValueError(
-            f"circuit on {k} qubits at offset {offset} "
-            f"does not fit in {state.num_qubits} qubits")
-    high = 1 << (state.num_qubits - k - offset)
-    psi = state.amplitudes.reshape(high, 1 << k, 1 << offset)
-    return StateVector((circuit.unitary @ psi).reshape(-1))
+def apply_circuit(circuit: Circuit, state: StateVector) -> StateVector:
+    """Run the circuit on `state`, a register of the circuit's own size."""
+    if state.num_qubits != circuit.num_qubits:
+        raise ValueError(f"circuit on {circuit.num_qubits} qubits got a state "
+                         f"of {state.num_qubits} qubits")
+    return StateVector(circuit.unitary @ state.amplitudes)
 
 
 def inverse(circuit: Circuit) -> Circuit:

@@ -40,7 +40,7 @@ from .strategies import (
     game_report_to_dict,
     run_game,
 )
-from .teleport import prepare_offline, run_trials, teleport_report_to_dict
+from .teleport import run_trials, teleport_report_to_dict
 from .timeline import simulate_timeline, timeline_config_from_dict
 
 # --strategies tokens; approximate takes its fidelity after a colon.
@@ -238,17 +238,12 @@ def _run_game(args) -> str:
     else:
         circuits = {n: random_circuit(n, args.depth, _stream(args.seed, 0, n))
                     for n in ns}
-    # one offline resource per circuit, shared by every point that samples it
-    resources = {}
-    if any(STRATEGIES[kind.name].needs_resource for kind in args.kinds):
-        resources = {n: prepare_offline(circuit) for n, circuit in circuits.items()}
     points = [(kind, n, params) for kind in args.kinds for n in ns
               for params in args.params]
     reports = []
     for k, (kind, n, params) in enumerate(points):
         rng = _stream(args.seed, 1, k)
-        reports.append(run_game(kind, circuits[n], params, args.trials, rng,
-                                resource=resources.get(n)))
+        reports.append(run_game(kind, circuits[n], params, args.trials, rng))
     rows = [game_report_to_dict(r) for r in reports]
     return _csv(rows) if args.csv else _json_dumps(rows)
 

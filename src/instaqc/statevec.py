@@ -195,30 +195,18 @@ def outcome_probabilities(state: StateVector, targets, basis) -> np.ndarray:
     return (np.abs(proj) ** 2).sum(axis=1)
 
 
-def _draw(probs: np.ndarray, u: float) -> int:
-    """Sample an outcome index from unnormalized probabilities, given uniform u.
+def _draw_rows(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Sample an outcome index from each row of a (B, k) array of
+    unnormalized probabilities, row t with uniform uniforms[t].
 
     The one sampling rule of the package: the first index whose normalized
-    cumulative probability exceeds u, else the last.  Two outcomes [p, 1 - p]
-    sum to exactly 1 in floating point, so there it is u < p.  The cumulative
-    sum runs left to right in Python floats, the order np.cumsum adds in; the
-    total stays numpy's (pairwise from 8 terms).
+    cumulative probability exceeds u, else the last, i.e. the count of
+    cumulative values <= u, at most k - 1.  Two outcomes [p, 1 - p] sum to
+    exactly 1 in floating point, so there it is u < p.  Each row's total is
+    numpy's (pairwise from 8 terms) and np.cumsum adds left to right.  A
+    single draw is a one-row call: rng.random(1) holds the value rng.random()
+    would draw.
     """
-    total = float(probs.sum())
-    acc = 0.0
-    values = probs.tolist()
-    for i, p in enumerate(values):
-        acc += p / total
-        if u < acc:
-            return i
-    return len(values) - 1
-
-
-def _draw_rows(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """`_draw`'s rule on each row of a (B, k) array of unnormalized
-    probabilities, row t with threshold uniforms[t]: the count of normalized
-    cumulative probabilities <= u, at most k - 1.  np.cumsum adds left to
-    right, as `_draw` does."""
     cum = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
     return np.minimum((cum <= uniforms[:, np.newaxis]).sum(axis=1), probs.shape[1] - 1)
 
@@ -237,7 +225,7 @@ def measure_in_basis(state: StateVector, targets, basis, rng: np.random.Generato
     psi = _targets_to_front(state, targets)
     proj = mat.conj() @ psi
     probs = (np.abs(proj) ** 2).sum(axis=1)
-    outcome = _draw(probs, rng.random())
+    outcome = int(_draw_rows(probs[np.newaxis], rng.random(1))[0])
 
     rest = proj[outcome] / np.sqrt(probs[outcome])
     collapsed = np.outer(mat[outcome], rest)

@@ -316,19 +316,17 @@ def expected_score(kind: StrategyKind, n: int, params: ScoreParams) -> float:
 
 
 def run_game(kind: StrategyKind, circuit: Circuit, params: ScoreParams,
-             trials: int, rng: np.random.Generator,
-             resource: OfflineResource | None = None) -> GameReport:
+             trials: int, rng: np.random.Generator) -> GameReport:
     """Play `trials` independent rounds of one strategy and count the answers.
 
     Rounds are played in chunks of a fixed size that depends only on n, each
     chunk sampled as one array pass and its answers graded by one check
     measurement against the true outputs.  A strategy that samples from the
-    offline resource uses `resource`, which must be `prepare_offline(circuit)`
-    (so several runs on one circuit can share it), or prepares its own.
+    offline resource (`needs_resource`) gets `prepare_offline(circuit)`,
+    prepared here once per call; the others get none.
     """
     entry = STRATEGIES[kind.name]
-    if entry.needs_resource and resource is None:
-        resource = prepare_offline(circuit)
+    resource = prepare_offline(circuit) if entry.needs_resource else None
     chunk = _chunk_rows(circuit.num_qubits, _CHUNK_BYTES)
 
     answered = correct = 0

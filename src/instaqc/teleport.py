@@ -31,7 +31,6 @@ from .statevec import (
     GateMatrix,
     StateVector,
     _check_size,
-    _draw,
     _draw_rows,
     _fidelities,
     _haar_rows,
@@ -64,6 +63,9 @@ CORRECTIONS: dict[tuple[int, int], tuple[GateMatrix, ...]] = {
     (0, 1): (Z,),
     (1, 1): (X, Z),
 }
+
+# Repairing a non-trivial outcome un-runs the circuit and runs it again.
+EXTRA_EXECUTIONS_PER_REPAIR = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,23 +155,25 @@ def bell_measure_pairs(joint: StateVector, rng: np.random.Generator):
 
     `joint` must hold 3n qubits laid out [input | near | far].  Each pair is
     contracted with the four Bell vectors out of what is left, takes one
-    `_draw` with its uniform from one rng.random(n), and keeps the chosen
-    slice renormalized, so the register loses two qubits per pair.  Returns
-    the outcome code and the renormalized n-qubit far-block state.
+    one-row `_draw_rows` call with its uniform from one rng.random(n), and
+    keeps the chosen slice renormalized, so the register loses two qubits per
+    pair.  Returns the outcome code and the renormalized n-qubit far-block
+    state.
     """
     if joint.num_qubits % 3 != 0:
         raise ValueError(f"{joint.num_qubits} qubits does not split into 3 blocks")
     n = joint.num_qubits // 3
     state = joint.amplitudes.reshape(1 << n, 1 << n, 1 << n)  # (far, near, input)
+    uniforms = rng.random(n)
     code = 0
-    for k, u in enumerate(rng.random(n).tolist()):
+    for k in range(n):
         far, near, inp = state.shape
         split = state.reshape(far, near // 2, 2, inp // 2, 2)
         # (4, far, near/2, input/2): the lowest (near, input) pair contracted
         proj = np.tensordot(_BELL_CONJ, split, axes=([1, 2], [2, 4]))
         flat = proj.reshape(4, -1).view(float)  # (re, im) interleaved
         probs = np.einsum("ij,ij->i", flat, flat)
-        b = _draw(probs, u)
+        b = int(_draw_rows(probs[np.newaxis], uniforms[k:k + 1])[0])
         code |= b << (2 * k)
         state = proj[b] / np.sqrt(probs[b])
     return code, StateVector(state.reshape(-1))
@@ -268,8 +272,8 @@ def run_with_corrections(codes: np.ndarray, outputs: np.ndarray, circuit: Circui
     The residues X^x Z^z of CORRECTIONS over all qubits form one signed
     permutation, v'[j] = (-1)^popcount(j & zmask) v[j ^ xmask], gathered
     row-wise.  Rows are multiplied from the right: v U^* un-runs, v U^T runs.
-    Code 0 repairs to the output itself.  Returns ((B, 2^n) corrected rows,
-    extra circuit executions per repaired row = 2).
+    Code 0 repairs to the output itself.  Returns the (B, 2^n) corrected
+    rows; each repaired row costs EXTRA_EXECUTIONS_PER_REPAIR circuit runs.
     """
     n = circuit.num_qubits
     codes = np.asarray(codes)
@@ -290,7 +294,7 @@ def run_with_corrections(codes: np.ndarray, outputs: np.ndarray, circuit: Circui
     unrun = outputs @ circuit.unitary.conj()
     fixed = np.take_along_axis(unrun, idx ^ xmask[:, np.newaxis], axis=1)
     fixed *= 1 - 2 * _parity(idx & zmask[:, np.newaxis], n)
-    return fixed @ circuit.unitary.T, 2
+    return fixed @ circuit.unitary.T
 
 
 # Teleport trials per chunk: about 256 KiB at 160 B per amplitude (204 rows at
@@ -424,11 +428,11 @@ def run_trials(circuit: Circuit, trials: int, rng: np.random.Generator,
         ok = codes == 0
         success_fids.append(_fidelities(outputs[ok], targets[ok]))
         if corrections:
-            corrected, extra = run_with_corrections(codes[~ok], outputs[~ok], circuit)
+            corrected = run_with_corrections(codes[~ok], outputs[~ok], circuit)
             corrected_fids.append(_fidelities(corrected, targets[~ok]))
     repair = None
     if corrections:
-        repair = RepairSummary(sum(map(len, corrected_fids)), extra,
+        repair = RepairSummary(sum(map(len, corrected_fids)), EXTRA_EXECUTIONS_PER_REPAIR,
                                *_mean_and_min(corrected_fids))
     return TeleportReport(histogram, *_mean_and_min(success_fids), repair)
 

@@ -176,20 +176,24 @@ def test_bell_rows_match_sequential_run_instantaneous(kind, n):
         assert fast_rng.random() == ref_rng.random()
 
 
-def test_bell_rows_codes_fit_the_exact_distribution():
+@pytest.mark.parametrize("kind", sorted(RESOURCES))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_bell_rows_codes_fit_the_exact_distribution(kind, n):
     """Pearson chi^2 of 4e5 sampled codes against `outcome_distribution`, on
-    a Haar joint (non-uniform weights) at n = 2, false-alarm rate 1e-6."""
+    a circuit resource (uniform weights 4^-n) and on a Haar joint
+    (non-uniform weights), false-alarm rate 1e-6 per case."""
     states = np.random.default_rng(660)
-    resource = haar_resource(2, states)
-    psi = sample_haar_state(2, states)
+    resource = RESOURCES[kind](n, states)
+    psi = sample_haar_state(n, states)
     expected = outcome_distribution(resource, psi) * 400_000
     rng = np.random.default_rng(661)
-    counts = np.zeros(16)
-    for _ in range(20):  # chunks of 20000 rows keep the arrays ~10 MiB
-        codes, _ = _bell_rows(resource, np.tile(psi.amplitudes, (20_000, 1)), rng)
-        counts += np.bincount(codes, minlength=16)
+    rows = 80_000 >> n  # 80 000 input amplitudes a chunk keep its arrays ~10 MiB
+    counts = np.zeros(4**n)
+    for _ in range(400_000 // rows):
+        codes, _ = _bell_rows(resource, np.tile(psi.amplitudes, (rows, 1)), rng)
+        counts += np.bincount(codes, minlength=4**n)
     stat = float(((counts - expected) ** 2 / expected).sum())
-    assert stat < chi2.isf(1e-6, 15), stat
+    assert stat < chi2.isf(1e-6, 4**n - 1), stat
 
 
 @pytest.mark.parametrize("kind", sorted(RESOURCES))

@@ -43,16 +43,11 @@ def test_h_cnot_builds_bell_state():
     assert np.allclose(out.amplitudes, [1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)])
 
 
-def test_apply_circuit_offset():
-    circ = Circuit(1, ((X, (0,)),))
-    out = apply_circuit(circ, basis_state(3, 0), offset=2)
-    assert out.amplitudes[4] == 1.0
-
-
-def test_apply_circuit_offset_out_of_range():
+def test_apply_circuit_rejects_a_state_of_another_size():
     circ = Circuit(2, ((CNOT, (0, 1)),))
-    with pytest.raises(ValueError, match="does not fit"):
-        apply_circuit(circ, basis_state(3, 0), offset=2)
+    for n in (1, 3):
+        with pytest.raises(ValueError, match=f"got a state of {n} qubits"):
+            apply_circuit(circ, basis_state(n, 0))
 
 
 def test_circuit_validates_targets():

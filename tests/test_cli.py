@@ -32,7 +32,6 @@ from instaqc.statevec import MAX_GATES, GateMatrix
 from instaqc.strategies import STRATEGIES
 from instaqc.teleport import (
     _teleport_chunk_rows,
-    prepare_offline,
     run_trials,
     teleport_report_to_dict,
 )
@@ -45,15 +44,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-_RUNS = ("random_circuit", "prepare_offline", "run_game", "run_trials")
+_RUNS = ("cli.random_circuit", "strategies.prepare_offline", "cli.run_game",
+         "cli.run_trials")
 
 
 def _forbid(monkeypatch, names=_RUNS):
-    """Make each name in `cli` raise, so a test sees a run start."""
+    """Make each `instaqc` name raise, so a test sees a run start."""
     def forbidden(*args, **kwargs):
         raise AssertionError("ran past the parse")
     for name in names:
-        monkeypatch.setattr(f"instaqc.cli.{name}", forbidden)
+        monkeypatch.setattr(f"instaqc.{name}", forbidden)
 
 
 def test_teleport_json_report(capsys):
@@ -469,24 +469,6 @@ def test_non_unitary_circuit_file_is_bad_input(monkeypatch, tmp_path, capsys, co
     assert code == 2
     assert out == ""
     assert "not unitary" in err
-
-
-def test_game_prepares_one_resource_per_circuit(monkeypatch, capsys):
-    """Every point of a sweep that samples the resource shares its circuit's."""
-    prepared = []
-
-    def counting(circuit):
-        prepared.append(circuit.num_qubits)
-        return prepare_offline(circuit)
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("run_game prepared its own resource")
-    monkeypatch.setattr("instaqc.cli.prepare_offline", counting)
-    monkeypatch.setattr("instaqc.strategies.prepare_offline", forbidden)
-    code, _, _ = run_cli(capsys, "game", "--n", "1:2", "--strategies",
-                         "instant,rsp,random", "--penalty", "0,10", "--trials", "50")
-    assert code == 0
-    assert prepared == [1, 2]
 
 
 def test_game_determinism(tmp_path, capsys):

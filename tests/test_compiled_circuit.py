@@ -44,11 +44,10 @@ def _reference_apply_gate(amps, n, gate, targets):
     return np.moveaxis(out, range(k), src).reshape(-1)
 
 
-def _reference_apply_circuit(circuit, state, offset=0):
+def _reference_apply_circuit(circuit, state):
     amps = state.amplitudes
     for gate, targets in circuit.gates:
-        amps = _reference_apply_gate(amps, state.num_qubits, gate,
-                                     [offset + t for t in targets])
+        amps = _reference_apply_gate(amps, state.num_qubits, gate, targets)
     return amps
 
 
@@ -61,17 +60,6 @@ def test_compiled_matches_gate_loop(n, depth):
         psi = sample_haar_state(n, rng)
         out = apply_circuit(circ, psi)
         assert np.abs(out.amplitudes - _reference_apply_circuit(circ, psi)).max() <= TOL
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_compiled_matches_gate_loop_at_every_offset(n):
-    rng = np.random.default_rng(2000 + n)
-    circ = random_circuit(n, 4, rng)
-    for offset in range(n + 1):
-        psi = sample_haar_state(2 * n, rng)
-        out = apply_circuit(circ, psi, offset=offset)
-        ref = _reference_apply_circuit(circ, psi, offset)
-        assert np.abs(out.amplitudes - ref).max() <= TOL
 
 
 def test_loaded_circuit_with_raw_matrices():
@@ -89,11 +77,10 @@ def test_loaded_circuit_with_raw_matrices():
         {"matrix": raw(4), "targets": [1, 2]},
     ]}
     circ = circuit_from_dict(json.loads(json.dumps(doc)))
-    for offset in (0, 1, 2):
-        psi = sample_haar_state(5, rng)
-        out = apply_circuit(circ, psi, offset=offset)
-        ref = _reference_apply_circuit(circ, psi, offset)
-        assert np.abs(out.amplitudes - ref).max() <= TOL
+    for _ in range(3):
+        psi = sample_haar_state(3, rng)
+        out = apply_circuit(circ, psi)
+        assert np.abs(out.amplitudes - _reference_apply_circuit(circ, psi)).max() <= TOL
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -147,7 +134,6 @@ def test_corrections_restore_every_code(n):
     target = _reference_apply_circuit(circ, psi)
     outputs = np.array([force_outcome(res, psi, code)[1]
                         .output_state.amplitudes for code in range(4**n)])
-    fixed, extra = run_with_corrections(np.arange(4**n), outputs, circ)
-    assert extra == 2
+    fixed = run_with_corrections(np.arange(4**n), outputs, circ)
     for row in fixed:
         assert fidelity(StateVector(row), StateVector(target)) >= 1 - 1e-9

@@ -1,13 +1,15 @@
 """One draw per decision, checked against the basis measurements it replaced.
 
 check_measurement and rsp_strategy only ask "did the first basis element
-fire?", so each decides with one `_draw` over [p, 1 - p].  The references
-below measure in a full orthonormal basis, as both functions used to; the
-comparisons are of exact values, and a stub generator pins each decision's
-threshold at p.  `_draw`, which takes its uniform, and its row-wise form
-`_draw_rows` are checked against the numpy cumsum rule `_draw` replaced, a
-chunk of checks against one-row checks, and the three Bell samplers against
-the one rng.random(n) per trial that they all take.
+fire?", so each decides with one draw, u < p.  The references below measure
+in a full orthonormal basis, as both functions used to; the comparisons are
+of exact values, and a stub generator pins each decision's threshold at p.
+`_draw_rows`, the package's one sampling rule, is checked against the numpy
+cumsum + searchsorted rule in its one-row form (the single draws of
+`measure_in_basis` and `bell_measure_pairs`) and in its many-row form (the
+chunks of `_bell_rows`), a chunk of checks against one-row checks, and the
+three Bell samplers against the one rng.random(n) per trial that they all
+take.
 """
 import numpy as np
 import pytest
@@ -15,7 +17,6 @@ import pytest
 from instaqc.circuit import random_circuit
 from instaqc.statevec import (
     StateVector,
-    _draw,
     _draw_rows,
     _haar_rows,
     basis_state,
@@ -63,17 +64,17 @@ def _rsp_reference(resource, known):
 
 
 def _draw_by_cumsum(probs, u):
-    """The rule as numpy cumsum + searchsorted, as `_draw` used to run it."""
+    """The rule as numpy cumsum + searchsorted over one 1-D array."""
     cum = np.cumsum(probs / probs.sum())
     return min(int(np.searchsorted(cum, u, side="right")), len(probs) - 1)
 
 
 @pytest.mark.parametrize("length", [2, 3, 4, 7, 8, 9, 16])
 def test_draw_matches_cumsum_rule_at_every_boundary(length):
-    """The Python running sum, and the row-wise rule on a chunk holding one
-    row per u, pick what the numpy cumsum picked, with u at each cumulative
-    value and at both of its float neighbours (zeros make repeated
-    boundaries; past 8 terms numpy's total is summed pairwise)."""
+    """A one-row call per u, and one call on a chunk holding one row per u,
+    pick what the numpy cumsum picked, with u at each cumulative value and at
+    both of its float neighbours (zeros make repeated boundaries; past 8
+    terms numpy's total is summed pairwise)."""
     rng = np.random.default_rng(730 + length)
     for trial in range(150):
         probs = rng.random(length) * rng.choice([1e-3, 1.0, 7.0])
@@ -84,7 +85,7 @@ def test_draw_matches_cumsum_rule_at_every_boundary(length):
         cum = np.cumsum(probs / probs.sum())
         us = np.concatenate([[0.0], cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0)])
         expected = [_draw_by_cumsum(probs, u) for u in us]
-        assert [_draw(probs, u) for u in us] == expected, probs
+        assert [_draw_rows(probs[None], np.array([u]))[0] for u in us] == expected, probs
         rows = _draw_rows(np.tile(probs, (len(us), 1)), us)
         assert rows.tolist() == expected, probs
 
@@ -92,7 +93,8 @@ def test_draw_matches_cumsum_rule_at_every_boundary(length):
 @pytest.mark.parametrize("u, expected", [(0.0, 0), (0.19999, 0), (0.2, 1),
                                          (0.49999, 1), (0.5, 2), (0.99999, 2)])
 def test_draw_picks_first_cumulative_above_u(u, expected):
-    assert _draw(np.array([0.4, 0.6, 1.0]), u) == expected  # normalized to /2
+    # normalized to /2
+    assert _draw_rows(np.array([[0.4, 0.6, 1.0]]), np.array([u]))[0] == expected
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

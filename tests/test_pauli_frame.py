@@ -115,7 +115,6 @@ def test_repair_restores_the_output_at_n8():
     for code, output, target in zip(codes, outputs, targets):
         pushed = apply_pauli(*push_pauli(circ, *residue_masks(n, code)), target)
         assert abs(np.vdot(pushed, output)) ** 2 >= 1 - 1e-9
-    fixed, extra = run_with_corrections(codes, outputs, circ)
-    assert extra == 2
+    fixed = run_with_corrections(codes, outputs, circ)
     for row, target in zip(fixed, targets):
         assert abs(np.vdot(target, row)) ** 2 >= 1 - 1e-9

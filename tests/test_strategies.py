@@ -399,6 +399,26 @@ def test_run_game_validates_inputs():
         run_game(NO_ANSWER, Circuit(2), ScoreParams(1.0, 0.0), 0, rng)
 
 
+def test_run_game_prepares_the_resource_it_samples(monkeypatch):
+    """instant and rsp get `prepare_offline` of the game's own circuit, once
+    per call however many chunks it plays; the other strategies get none."""
+    assert ({name for name, entry in STRATEGIES.items() if entry.needs_resource}
+            == {"instantaneous", "remote_state_prep"})
+    prepared = []
+
+    def counting(circuit):
+        prepared.append(circuit)
+        return prepare_offline(circuit)
+    monkeypatch.setattr("instaqc.strategies.prepare_offline", counting)
+    circ = random_circuit(1, 2, np.random.default_rng(108))
+    trials = 2 * _chunk_rows(1, _CHUNK_BYTES) + 1  # three chunks
+    for kind in (NO_ANSWER, RANDOM_GUESS, INSTANTANEOUS, CLASSICAL_BASIS,
+                 REMOTE_STATE_PREP, approximate(0.9)):
+        prepared.clear()
+        run_game(kind, circ, ScoreParams(1.0, 0.0), trials, np.random.default_rng(109))
+        assert prepared == ([circ] if STRATEGIES[kind.name].needs_resource else []), kind
+
+
 def test_no_answer_report_is_all_zero():
     report = _game(NO_ANSWER, 2, 100, seed=101)
     assert report.answered_count == 0

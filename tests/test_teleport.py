@@ -69,13 +69,13 @@ def test_force_outcome_rejects_codes_out_of_range(n):
 
 def _bell_pairs_then_circuit(circuit: Circuit) -> np.ndarray:
     """Reference: n Bell pairs |Φ⁺⟩, pair i on qubits (i, n+i) of a 2n-qubit
-    register, with the circuit run on the far block, read as R[far, near]."""
+    register, with the circuit run on the far block, read as R[far, near]:
+    U times the pairs' amplitudes viewed as a (far, near) matrix."""
     n = circuit.num_qubits
     amps = np.zeros(1 << (2 * n), dtype=complex)
     for a in range(1 << n):
         amps[a | (a << n)] = 2.0 ** (-n / 2)
-    joint = apply_circuit(circuit, StateVector(amps), offset=n)
-    return joint.amplitudes.reshape(1 << n, 1 << n)
+    return circuit.unitary @ amps.reshape(1 << n, 1 << n)
 
 
 def _bits(mat: np.ndarray) -> bytes:
@@ -314,9 +314,7 @@ def test_corrections_restore_every_outcome(n):
         res = prepare_offline(circ)
         psi = sample_haar_state(n, rng)
         target = apply_circuit(circ, psi)
-        fixed, extra = run_with_corrections(np.arange(4**n),
-                                            _forced_outputs(res, psi), circ)
-        assert extra == 2
+        fixed = run_with_corrections(np.arange(4**n), _forced_outputs(res, psi), circ)
         assert min(fidelity(StateVector(row), target) for row in fixed) > 1 - 1e-9
 
 
@@ -331,12 +329,12 @@ def test_row_repair_matches_force_outcome_on_every_code(n):
     psi = sample_haar_state(n, rng)
     outputs = _forced_outputs(res, psi)
     codes = np.arange(4**n)
-    fixed, extra = run_with_corrections(codes, outputs, circ)
-    assert extra == 2 and fixed.shape == outputs.shape
+    fixed = run_with_corrections(codes, outputs, circ)
+    assert fixed.shape == outputs.shape
     target = circ.unitary @ psi.amplitudes
     assert np.abs(fixed.conj() @ target).min() ** 2 >= 1 - 1e-9
     for code in codes:
-        one, _ = run_with_corrections(codes[code:code + 1], outputs[code:code + 1], circ)
+        one = run_with_corrections(codes[code:code + 1], outputs[code:code + 1], circ)
         assert np.abs(one[0] - fixed[code]).max() <= 1e-12
 
 
@@ -346,8 +344,7 @@ def test_corrections_on_trivial_outcome_are_identity():
     res = prepare_offline(circ)
     psi = sample_haar_state(2, rng)
     _, result = force_outcome(res, psi, 0)
-    fixed, _ = run_with_corrections(np.array([0]), result.output_state.amplitudes[None],
-                                    circ)
+    fixed = run_with_corrections(np.array([0]), result.output_state.amplitudes[None], circ)
     assert fidelity(StateVector(fixed[0]), result.output_state) > 1 - 1e-9
 
 
@@ -379,8 +376,8 @@ def test_repair_permutation_matches_corrections_gate_by_gate(n):
     u = circ.unitary
     output = sample_haar_state(n, rng)
     unrun = StateVector(u.conj().T @ output.amplitudes)
-    fixed, _ = run_with_corrections(np.arange(4**n),
-                                    np.tile(output.amplitudes, (4**n, 1)), circ)
+    fixed = run_with_corrections(np.arange(4**n),
+                                 np.tile(output.amplitudes, (4**n, 1)), circ)
     for code in range(4**n):
         expected = unrun
         for i in range(n):
@@ -412,8 +409,8 @@ def test_pure_z_circuit_commutes_with_z_corrections():
     shortcut = apply_gate(apply_gate(result.output_state, Z, [0]), Z, [1])
     assert fidelity(shortcut, target) > 1 - 1e-9
     # and the general invert-correct-rerun path agrees
-    fixed, _ = run_with_corrections(np.array([code]),
-                                    result.output_state.amplitudes[None], circ)
+    fixed = run_with_corrections(np.array([code]),
+                                 result.output_state.amplitudes[None], circ)
     assert fidelity(StateVector(fixed[0]), shortcut) > 1 - 1e-9
 
 
