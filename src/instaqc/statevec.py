@@ -255,10 +255,11 @@ def project_out(state: StateVector, targets, vector):
 
 
 def _check_outcome_probability(prob) -> None:
-    """Raise if the outcome probability, or any of an array of them, is
-    below _OUTCOME_PROB_MIN."""
-    if np.any(prob < _OUTCOME_PROB_MIN):
-        raise ValueError("projection outcome has (near-)zero probability")
+    """Raise unless the outcome probability, or each of an array of them, is
+    at least _OUTCOME_PROB_MIN."""
+    # Negated so a NaN probability, for which every comparison is False, fails.
+    if not np.all(prob >= _OUTCOME_PROB_MIN):
+        raise ValueError("projection outcome has NaN or (near-)zero probability")
 
 
 def _fidelities(a: np.ndarray, b: np.ndarray) -> np.ndarray:

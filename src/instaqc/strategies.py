@@ -14,12 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .circuit import Circuit
-from .statevec import (
-    _GS_RESIDUAL_MIN,
-    StateVector,
-    _check_outcome_probability,
-    _haar_rows,
-)
+from .statevec import NORM_TOL, _GS_RESIDUAL_MIN, _check_outcome_probability, _haar_rows
 from .teleport import OfflineResource, _chunk_rows, check_measurement, prepare_offline
 
 # Game trials per chunk: about 512 KiB of working set at 160 B per amplitude
@@ -136,41 +131,48 @@ def game_report_to_dict(report: GameReport) -> dict:
     }
 
 
-def _classical_rows(circuit: Circuit, actual: np.ndarray, guess: np.ndarray):
-    """`classical_basis_strategy` over index arrays: (answered mask, circuit
-    outputs of the answered rows' guesses, one row each)."""
+def classical_basis_strategy(circuit: Circuit, actual: np.ndarray, guess: np.ndarray):
+    """Distinguish known-basis inputs by measurement; answer only on a match.
+
+    `actual` and `guess` are two equal 1-D integer arrays of basis indices in
+    [0, 2^n), one entry per trial: trial t's input is |actual[t]>, and the
+    strategy committed to guess[t] before that input existed and holds the
+    circuit output for it.  A basis-state input measured in the
+    computational basis gives its own index with certainty, so the
+    measurement is the index comparison and every answer is right.  Returns
+    (answered mask, circuit outputs of the answered guesses, one row each).
+    """
+    actual, guess = np.asarray(actual), np.asarray(guess)
+    if actual.ndim != 1 or actual.shape != guess.shape:
+        raise ValueError(f"need two equal 1-D index arrays, got shapes "
+                         f"{actual.shape} and {guess.shape}")
+    dim = 1 << circuit.num_qubits
+    for name, index in (("input", actual), ("guess", guess)):
+        if index.dtype.kind not in "iu":  # bool is kind "b"
+            raise ValueError(f"{name} indices must be integers, got dtype {index.dtype}")
+        if index.size and not 0 <= index.min() <= index.max() < dim:
+            raise ValueError(f"{name} index out of range [0, {dim})")
     hit = actual == guess
     return hit, circuit.unitary.T[guess[hit]]  # U e_g is column g of U
 
 
-def classical_basis_strategy(circuit: Circuit, actual_input_index: int,
-                             precomputed_guess_index: int):
-    """Distinguish a known-basis input by measurement; answer only on a match.
+def rsp_strategy(resource: OfflineResource, near: np.ndarray, rng: np.random.Generator):
+    """Steer the precomputed output onto known inputs by measuring the near block.
 
-    The strategy committed to `precomputed_guess_index` before the input
-    existed and holds the circuit output for that guess.  A basis-state input
-    measured in the computational basis gives its own index with certainty,
-    so the measurement is the index comparison and the answer (when given)
-    is always right.
+    Projects the near block onto each row of the (B, 2^n) array `near`, for
+    a known input the input itself (the first element of a basis led by its
+    conjugate); only that outcome matters.  Row t's far block is
+    near_t @ R^T, with R[far, near] the resource's `matrix`; its squared norm
+    is the probability that the projection fires, 2^-n for a known input on a
+    circuit resource, and one rng.random(B), u < probability, decides.
+    Returns (fired mask, normalized far blocks of the fired rows).  Raises,
+    before drawing, on a non-finite row or a (near-)zero probability.
     """
-    dim = 1 << circuit.num_qubits
-    if not 0 <= actual_input_index < dim:
-        raise ValueError(f"input index {actual_input_index} out of range")
-    if not 0 <= precomputed_guess_index < dim:
-        raise ValueError(f"guess index {precomputed_guess_index} out of range")
-    hit, outputs = _classical_rows(circuit, np.array([actual_input_index]),
-                                   np.array([precomputed_guess_index]))
-    return (True, StateVector(outputs[0])) if hit[0] else (False, None)
-
-
-def _project_rows(resource: OfflineResource, near: np.ndarray, rng: np.random.Generator):
-    """Project the resource's near block onto each row of a (B, 2^n) array,
-    one rng.random(B): (fired mask, normalized far blocks of the fired rows).
-
-    Row t's far block is near_t @ R^T, with R[far, near] the resource's
-    `matrix`; its squared norm is the probability that the projection fires.
-    Raises, before drawing, if any row's probability is (near-)zero.
-    """
+    if np.ndim(near) != 2 or np.shape(near)[1] != 1 << resource.n:
+        raise ValueError(f"near rows have shape {np.shape(near)}, resource expects "
+                         f"{resource.n} qubits: (rows, {1 << resource.n})")
+    if not np.isfinite(near).all():
+        raise ValueError("near rows must be finite")
     far = near @ resource.matrix.T
     prob = np.einsum("ti,ti->t", far.conj(), far).real
     _check_outcome_probability(prob)
@@ -178,26 +180,26 @@ def _project_rows(resource: OfflineResource, near: np.ndarray, rng: np.random.Ge
     return fired, far[fired] / np.sqrt(prob[fired])[:, None]
 
 
-def rsp_strategy(resource: OfflineResource, known_input: StateVector,
-                 rng: np.random.Generator):
-    """Steer the precomputed output onto a known input by measuring the near block.
+def approximate_output(corrects: np.ndarray, fidelity_F: float) -> np.ndarray:
+    """Rows at fidelity exactly fidelity_F to the rows of `corrects`, a
+    (B, 2^n) array of states normalized within NORM_TOL.
 
-    Measures the near block in a basis whose first element is the complex
-    conjugate of the input.  Only that outcome matters: projecting onto it
-    gives its probability (2^-n for every input) and the far block, which
-    then holds the circuit output, and one draw, u < probability, decides
-    whether it fired.
+    Each row c mixes in its first Gram-Schmidt completion direction,
+    (e_j - conj(c_j) c) / norm for the first basis index j not nearly
+    parallel to c, which is row 1 of `orthonormal_basis_containing(c)`.  At
+    fidelity_F = 1 it returns `corrects` itself, not a copy.
     """
-    resource._check_input(known_input)
-    fired, outputs = _project_rows(resource, known_input.amplitudes[np.newaxis], rng)
-    return (True, StateVector(outputs[0])) if fired[0] else (False, None)
-
-
-def _approximate_rows(corrects: np.ndarray, fidelity_F: float) -> np.ndarray:
-    """`approximate_output` on every row of a (B, 2^n) array."""
+    if not 0.0 <= fidelity_F <= 1.0:
+        raise ValueError(f"fidelity must be in [0, 1], got {fidelity_F}")
+    if np.ndim(corrects) != 2 or np.shape(corrects)[1] < 2:
+        raise ValueError(f"need (rows, 2**n) rows, n >= 1; got shape {np.shape(corrects)}")
+    norms = np.linalg.norm(corrects, axis=1, keepdims=True)
+    # Negated so a NaN or inf entry, which makes its row's norm non-finite, fails.
+    if not np.all(np.abs(norms - 1.0) <= NORM_TOL):
+        raise ValueError("rows must be normalized states with finite entries")
     if fidelity_F == 1.0:
         return corrects
-    c = corrects / np.linalg.norm(corrects, axis=1, keepdims=True)
+    c = corrects / norms
     # |c_j|^2 <= 1 - _GS_RESIDUAL_MIN holds for some j whenever dim >= 2
     j = np.argmax(1.0 - np.abs(c) ** 2 > _GS_RESIDUAL_MIN, axis=1)
     picked = np.arange(len(c))
@@ -205,16 +207,6 @@ def _approximate_rows(corrects: np.ndarray, fidelity_F: float) -> np.ndarray:
     w[picked, j] += 1.0
     w /= np.linalg.norm(w, axis=1, keepdims=True)
     return math.sqrt(fidelity_F) * c + math.sqrt(1.0 - fidelity_F) * w
-
-
-def approximate_output(correct: StateVector, fidelity_F: float) -> StateVector:
-    """State with overlap exactly fidelity_F against `correct`: mixes in the
-    first Gram-Schmidt completion direction, (e_j - conj(c_j) c) / norm for
-    the first basis index j not nearly parallel to c, which is row 1 of
-    `orthonormal_basis_containing(c)`."""
-    if not 0.0 <= fidelity_F <= 1.0:
-        raise ValueError(f"fidelity must be in [0, 1], got {fidelity_F}")
-    return StateVector(_approximate_rows(correct.amplitudes[np.newaxis], fidelity_F)[0])
 
 
 # --- chunk samplers ---------------------------------------------------------------
@@ -240,7 +232,7 @@ def _teleport(kind, circuit, resource, rows, rng):
     # branch of gate teleportation).
     n = circuit.num_qubits
     inputs = _haar_rows(n, rows, rng)
-    fired, outputs = _project_rows(resource, inputs * 2.0 ** (-n / 2), rng)
+    fired, outputs = rsp_strategy(resource, inputs * 2.0 ** (-n / 2), rng)
     return outputs, inputs[fired] @ circuit.unitary.T
 
 
@@ -248,19 +240,19 @@ def _classical(kind, circuit, resource, rows, rng):
     dim = 1 << circuit.num_qubits
     actual = rng.integers(dim, size=rows)
     guess = rng.integers(dim, size=rows)
-    _, outputs = _classical_rows(circuit, actual, guess)
+    _, outputs = classical_basis_strategy(circuit, actual, guess)
     return outputs, outputs  # answered only when actual == guess
 
 
 def _steer(kind, circuit, resource, rows, rng):
     known = _haar_rows(circuit.num_qubits, rows, rng)
-    fired, outputs = _project_rows(resource, known, rng)
+    fired, outputs = rsp_strategy(resource, known, rng)
     return outputs, known[fired] @ circuit.unitary.T
 
 
 def _approximate(kind, circuit, resource, rows, rng):
     targets = _haar_rows(circuit.num_qubits, rows, rng) @ circuit.unitary.T
-    return _approximate_rows(targets, kind.fidelity), targets
+    return approximate_output(targets, kind.fidelity), targets
 
 
 @dataclass(frozen=True)

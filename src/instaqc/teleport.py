@@ -445,9 +445,12 @@ def check_measurement(outputs: np.ndarray, corrects: np.ndarray,
     Only "first element or not" matters, and that is Bernoulli(|<correct|output>|²),
     so each row is one draw, u < p, from one rng.random(B) (for B = 1 the
     same value as rng.random()).  Returns (is_O, probability_O), one entry per row.
+    Raises, before drawing, on a non-finite probability.
     """
     if outputs.shape != corrects.shape:
         raise ValueError(f"qubit counts or row counts differ: shapes "
                          f"{outputs.shape} vs {corrects.shape}")
     prob = _fidelities(outputs, corrects)  # row t is fidelity(output_t, correct_t)
+    if not np.isfinite(prob).all():
+        raise ValueError("check probability is not finite: the rows hold NaN or inf")
     return rng.random(len(prob)) < prob, prob

@@ -24,11 +24,11 @@ from instaqc.strategies import (
     RANDOM_GUESS,
     REMOTE_STATE_PREP,
     ScoreParams,
-    _project_rows,
     approximate,
     approximate_breakeven,
     cost_analysis,
     expected_score,
+    rsp_strategy,
     run_game,
 )
 from instaqc.teleport import (
@@ -165,8 +165,8 @@ def test_criterion_06_hit_rates_2_to_minus_n():
         resource = prepare_offline(circuit)
         for i in range(10):
             known = sample_haar_state(n, rng)
-            # one rng.random(10000), the draws of 10000 rsp_strategy calls
-            fired, _ = _project_rows(resource, np.tile(known.amplitudes, (10000, 1)), rng)
+            # 10000 trials on one known input: one rng.random(10000)
+            fired, _ = rsp_strategy(resource, np.tile(known.amplitudes, (10000, 1)), rng)
             hits = int(fired.sum())
             rate, band = rate_band_3sigma(hits, 10000)
             checks.append((f"rsp n={n} input {i}", rate, band,

@@ -186,9 +186,9 @@ def test_rsp_matches_basis_measurement(n):
         p, far_ref = _rsp_reference(resource, known)
         assert abs(p - 2.0**-n) <= 1e-12
         below, above = FixedDraw(p - 1e-12), FixedDraw(p + 1e-12)
-        answered, far = rsp_strategy(resource, known, below)
-        assert answered
-        np.testing.assert_allclose(far.amplitudes, far_ref.amplitudes,
-                                   rtol=0, atol=1e-12)
-        assert rsp_strategy(resource, known, above) == (False, None)
+        answered, far = rsp_strategy(resource, known.amplitudes[None], below)
+        assert answered[0]
+        np.testing.assert_allclose(far[0], far_ref.amplitudes, rtol=0, atol=1e-12)
+        answered, far = rsp_strategy(resource, known.amplitudes[None], above)
+        assert not answered[0] and far.shape == (0, 1 << n)
         assert below.draws == above.draws == 1

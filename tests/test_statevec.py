@@ -25,6 +25,8 @@ from instaqc.statevec import (
     project_out,
     sample_haar_state,
     tensor_product,
+    _OUTCOME_PROB_MIN,
+    _check_outcome_probability,
     _haar_rows,
     _unitarity_error,
 )
@@ -290,6 +292,14 @@ def test_project_out_bell_half():
 def test_project_out_zero_probability_raises():
     with pytest.raises(ValueError, match="zero probability"):
         project_out(basis_state(2, 0), [0], np.array([0.0, 1.0]))
+
+
+def test_outcome_probability_check_refuses_nan():
+    _check_outcome_probability(np.array([1.0, _OUTCOME_PROB_MIN]))
+    with pytest.raises(ValueError, match="NaN"):
+        _check_outcome_probability(np.array([0.5, np.nan]))
+    with pytest.raises(ValueError, match="NaN"):
+        _check_outcome_probability(np.nan)
 
 
 def test_project_out_must_leave_a_qubit():

@@ -1,8 +1,10 @@
 """Strategy scoring: analytic formulas, Monte Carlo convergence, cost model."""
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import assert_within_3sigma, per_trial_scores, rate_within_3sigma, traced_peak
 from instaqc.circuit import Circuit, apply_circuit, random_circuit
@@ -25,9 +27,6 @@ from instaqc.strategies import (
     ScoreParams,
     StrategyKind,
     _CHUNK_BYTES,
-    _approximate_rows,
-    _classical_rows,
-    _project_rows,
     approximate,
     approximate_breakeven,
     approximate_output,
@@ -137,47 +136,59 @@ def test_instantaneous_vs_random_guess_threshold():
 
 def test_classical_basis_match_answers_correctly():
     circ = random_circuit(2, 3, np.random.default_rng(90))
-    answered, output = classical_basis_strategy(circ, 3, 3)
-    assert answered
-    assert fidelity(output, apply_circuit(circ, basis_state(2, 3))) > 1 - 1e-9
+    answered, outputs = classical_basis_strategy(circ, np.array([3]), np.array([3]))
+    assert answered[0]
+    assert fidelity(StateVector(outputs[0]), apply_circuit(circ, basis_state(2, 3))) > 1 - 1e-9
 
 
 def test_classical_basis_mismatch_declines():
-    answered, output = classical_basis_strategy(Circuit(2), 1, 2)
-    assert not answered
-    assert output is None
+    answered, outputs = classical_basis_strategy(Circuit(2), np.array([1]), np.array([2]))
+    assert not answered[0]
+    assert outputs.shape == (0, 4)
 
 
 def test_classical_basis_index_validation():
     with pytest.raises(ValueError, match="input index"):
-        classical_basis_strategy(Circuit(1), 2, 0)
+        classical_basis_strategy(Circuit(1), np.array([2]), np.array([0]))
     with pytest.raises(ValueError, match="guess index"):
-        classical_basis_strategy(Circuit(1), 0, 2)
+        classical_basis_strategy(Circuit(1), np.array([0]), np.array([2]))
+    with pytest.raises(ValueError, match="input index"):
+        classical_basis_strategy(Circuit(1), np.array([0, -1]), np.array([0, 0]))
+
+
+@pytest.mark.parametrize("actual, guess, match", [
+    (np.array([1.5]), np.array([0]), "integers"),
+    (np.array([0]), np.array([0.0]), "integers"),
+    (np.array([True]), np.array([True]), "integers"),
+    (1.5, 0, "1-D"),
+    (True, True, "1-D"),
+    (np.array([[0]]), np.array([[0]]), "1-D"),
+    (np.array([0, 1]), np.array([0]), "1-D"),
+], ids=["float input", "float guess", "bool", "float scalar", "bool scalar", "2-D",
+        "shapes differ"])
+def test_classical_basis_rejects_bad_index_arrays(actual, guess, match):
+    with pytest.raises(ValueError, match=match):
+        classical_basis_strategy(Circuit(1), actual, guess)
 
 
 def test_classical_basis_answer_rate():
     """Uniform random actual and guess: match probability 2^-n."""
     rng = np.random.default_rng(93)
     circ = Circuit(3)
-    trials, hits = 20000, 0
-    for _ in range(trials):
-        actual = int(rng.integers(8))
-        guess = int(rng.integers(8))
-        answered, _ = classical_basis_strategy(circ, actual, guess)
-        hits += answered
-    rate_within_3sigma(hits, trials, 0.125)
+    trials = 20000
+    actual, guess = rng.integers(8, size=(trials, 2)).T  # the pairs in draw order
+    answered, _ = classical_basis_strategy(circ, actual, guess)
+    rate_within_3sigma(int(answered.sum()), trials, 0.125)
 
 
 def test_rsp_identity_on_zero_state():
     rng = np.random.default_rng(94)
     resource = prepare_offline(Circuit(1))
-    hits = 0
-    for _ in range(200):
-        answered, output = rsp_strategy(resource, basis_state(1, 0), rng)
-        if answered:
-            hits += 1
-            assert fidelity(output, basis_state(1, 0)) > 1 - 1e-9
-    rate_within_3sigma(hits, 200, 0.5)
+    zero = basis_state(1, 0)
+    answered, outputs = rsp_strategy(resource, np.tile(zero.amplitudes, (200, 1)), rng)
+    for output in outputs:
+        assert fidelity(StateVector(output), zero) > 1 - 1e-9
+    rate_within_3sigma(int(answered.sum()), 200, 0.5)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -188,12 +199,10 @@ def test_rsp_success_gives_circuit_output(n):
     for _ in range(3):
         known = sample_haar_state(n, rng)
         target = apply_circuit(circ, known)
-        seen = 0
-        while seen < 5:  # collect a few successes per input
-            answered, output = rsp_strategy(resource, known, rng)
-            if answered:
-                seen += 1
-                assert fidelity(output, target) > 1 - 1e-9
+        answered, outputs = rsp_strategy(resource, np.tile(known.amplitudes, (100, 1)), rng)
+        assert answered.sum() >= 5  # a few successes per input
+        for output in outputs:
+            assert fidelity(StateVector(output), target) > 1 - 1e-9
 
 
 def test_rsp_success_rate_entangled_input():
@@ -202,17 +211,27 @@ def test_rsp_success_rate_entangled_input():
     circ = random_circuit(2, 2, rng)
     resource = prepare_offline(circ)
     bell_like = prepare_offline(Circuit(1)).joint_state  # 2-qubit entangled state
-    trials, hits = 4000, 0
-    for _ in range(trials):
-        answered, _ = rsp_strategy(resource, bell_like, rng)
-        hits += answered
-    rate_within_3sigma(hits, trials, 0.25)
+    trials = 4000
+    answered, _ = rsp_strategy(resource, np.tile(bell_like.amplitudes, (trials, 1)), rng)
+    rate_within_3sigma(int(answered.sum()), trials, 0.25)
 
 
 def test_rsp_validates_sizes():
     rng = np.random.default_rng(98)
-    with pytest.raises(ValueError, match="resource expects 2"):
-        rsp_strategy(prepare_offline(Circuit(2)), basis_state(1, 0), rng)
+    resource = prepare_offline(Circuit(2))
+    for near in (basis_state(1, 0).amplitudes[None], basis_state(2, 0).amplitudes):
+        with pytest.raises(ValueError, match="resource expects 2"):
+            rsp_strategy(resource, near, rng)
+
+
+class CountingRng:
+    """Generator stand-in: random(size) returns zeros and counts the draws."""
+
+    draws = 0
+
+    def random(self, size=None):
+        self.draws += 1
+        return np.zeros(size)
 
 
 def test_rsp_refuses_near_zero_outcome():
@@ -221,90 +240,97 @@ def test_rsp_refuses_near_zero_outcome():
     any projection onto a (near-)zero-probability outcome is; one above it
     fires and renormalizes."""
     resource = OfflineResource(basis_state(2, 0).amplitudes.reshape(2, 2))
-
-    class CountingRng:
-        draws = 0
-
-        def random(self, size=None):
-            self.draws += 1
-            return np.zeros(size)
-
     rng = CountingRng()
     for p0 in (0.0, 1e-13):
-        known = StateVector(np.array([np.sqrt(p0), np.sqrt(1.0 - p0)]))
+        known = np.array([np.sqrt(p0), np.sqrt(1.0 - p0)])
         with pytest.raises(ValueError, match="zero probability"):
-            rsp_strategy(resource, known, rng)
+            rsp_strategy(resource, known[None], rng)
         with pytest.raises(ValueError, match="zero probability"):
-            _project_rows(resource, np.array([[1.0, 0.0], known.amplitudes]), rng)
+            rsp_strategy(resource, np.array([[1.0, 0.0], known]), rng)
     assert rng.draws == 0
-    known = StateVector(np.array([np.sqrt(1e-11), np.sqrt(1.0 - 1e-11)]))
-    answered, output = rsp_strategy(resource, known, rng)
-    assert answered and rng.draws == 1
-    assert fidelity(output, basis_state(1, 0)) > 1 - 1e-9
+    known = np.array([np.sqrt(1e-11), np.sqrt(1.0 - 1e-11)])
+    answered, outputs = rsp_strategy(resource, known[None], rng)
+    assert answered[0] and rng.draws == 1
+    assert fidelity(StateVector(outputs[0]), basis_state(1, 0)) > 1 - 1e-9
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rsp_refuses_non_finite_rows(bad):
+    """A row with a NaN or inf entry is refused before any draw, where a
+    NaN row used to be declined."""
+    rng = CountingRng()
+    with pytest.raises(ValueError, match="finite"):
+        rsp_strategy(prepare_offline(Circuit(1)), np.array([[1.0, 0.0], [bad, 0.0]]), rng)
+    assert rng.draws == 0
 
 
 @pytest.mark.parametrize("F", [0.0, 0.3, 0.9, 1.0])
 def test_approximate_output_exact_overlap(F):
     rng = np.random.default_rng(99)
     correct = sample_haar_state(2, rng)
-    out = approximate_output(correct, F)
-    assert abs(fidelity(out, correct) - F) < 1e-12
+    rows = correct.amplitudes[None]
+    out = approximate_output(rows, F)
+    assert abs(fidelity(StateVector(out[0]), correct) - F) < 1e-12
+    assert (out is rows) == (F == 1.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_approximate_output_direction_is_gram_schmidt_row_1(n):
     rng = np.random.default_rng(98 + n)
-    for _ in range(5):
-        correct = sample_haar_state(n, rng)
-        row = orthonormal_basis_containing(correct.amplitudes)[1]
-        assert np.abs(approximate_output(correct, 0.0).amplitudes - row).max() <= 1e-12
+    corrects = np.array([sample_haar_state(n, rng).amplitudes for _ in range(5)])
+    for correct, out in zip(corrects, approximate_output(corrects, 0.0)):
+        row = orthonormal_basis_containing(correct)[1]
+        assert np.abs(out - row).max() <= 1e-12
 
 
 def test_approximate_output_skips_parallel_candidate():
     correct = basis_state(3, 0)  # candidate e_0 is the state itself
     row = orthonormal_basis_containing(correct.amplitudes)[1]
-    assert np.abs(approximate_output(correct, 0.0).amplitudes - row).max() <= 1e-12
-    assert abs(fidelity(approximate_output(correct, 0.9), correct) - 0.9) < 1e-12
+    rows = correct.amplitudes[None]
+    assert np.abs(approximate_output(rows, 0.0)[0] - row).max() <= 1e-12
+    assert abs(fidelity(StateVector(approximate_output(rows, 0.9)[0]), correct) - 0.9) < 1e-12
 
 
 def test_approximate_output_validates_fidelity():
     with pytest.raises(ValueError, match="fidelity"):
-        approximate_output(basis_state(1, 0), 1.1)
+        approximate_output(basis_state(1, 0).amplitudes[None], 1.1)
 
 
-# --- chunk kernels: one row each is the one-trial function -------------------------
+@pytest.mark.parametrize("F", [0.5, 1.0])
+@pytest.mark.parametrize("rows, match", [
+    (np.array([[1.0, 0.0], [np.nan, 0.0]]), "finite"),
+    (np.array([[1.0, 0.0], [np.inf, 0.0]]), "finite"),
+    (np.array([[1.0, 0.0], [0.0, 0.0]]), "normalized"),
+    (np.array([[1.0, 1.0]]), "normalized"),
+    (np.array([1.0, 0.0]), "rows"),
+    (np.array([[1.0]]), "rows"),
+], ids=["nan", "inf", "zero", "unnormalized", "1-D", "width 1"])
+def test_approximate_output_rejects_bad_rows(rows, match, F):
+    """Refused with a ValueError and no RuntimeWarning, at F = 1 too, where
+    valid rows come back as they are."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            approximate_output(rows, F)
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_classical_rows_are_one_trial_calls(n):
-    circ = random_circuit(n, 3, np.random.default_rng(120 + n))
-    dim = 1 << n
-    actual, guess = np.divmod(np.arange(dim * dim), dim)  # every pair
-    hit, outputs = _classical_rows(circ, actual, guess)
-    assert hit.sum() == dim and len(outputs) == dim
-    answers = iter(outputs)
-    for a, g, h in zip(actual, guess, hit):
-        answered, output = classical_basis_strategy(circ, int(a), int(g))
-        assert answered == h
-        if answered:
-            assert np.abs(output.amplitudes - next(answers)).max() <= 1e-15
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 5), F=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
+       aligned=st.lists(st.integers(0, 31), max_size=4))
+def test_approximate_output_fidelity_is_exactly_F(n, F, seed, aligned):
+    """Every row lands at fidelity F to its correct row, basis-aligned rows
+    (a basis state times a phase) among them."""
+    corrects = _haar_rows(n, 6, np.random.default_rng(seed))
+    for row, index in enumerate(aligned):
+        corrects[row] = 0.0
+        corrects[row, index % (1 << n)] = np.exp(1j * index)
+    out = approximate_output(corrects, F)
+    overlaps = np.abs(np.einsum("ti,ti->t", out.conj(), corrects)) ** 2
+    assert np.abs(overlaps - F).max() <= 1e-12
+    assert np.abs(np.linalg.norm(out, axis=1) - 1.0).max() <= 1e-12
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_rsp_rows_are_one_trial_calls(n):
-    states = np.random.default_rng(130 + n)
-    resource = prepare_offline(random_circuit(n, 3, states))
-    known = _haar_rows(n, 200, states)
-    rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
-    fired, outputs = _project_rows(resource, known, rng)
-    assert 0 < fired.sum() < 200
-    answers = iter(outputs)
-    for row, f in zip(known, fired):
-        answered, output = rsp_strategy(resource, StateVector(row), ref_rng)
-        assert answered == f
-        if answered:
-            assert np.abs(output.amplitudes - next(answers)).max() <= 1e-12
-    assert rng.random() == ref_rng.random()
-
+# --- chunk samplers -------------------------------------------------------------
 
 class UniformsRng:
     """Stands in for a Generator: random(size) returns `uniforms`, every
@@ -357,16 +383,6 @@ def test_instant_sampler_answers_at_rate_4_to_the_minus_n():
     answers, _ = STRATEGIES["instantaneous"].sample(
         INSTANTANEOUS, circuit, prepare_offline(circuit), rows, np.random.default_rng(171))
     rate_within_3sigma(len(answers), rows, 4.0**-n)
-
-
-@pytest.mark.parametrize("F", [0.0, 0.3, 0.9, 1.0])
-def test_approximate_rows_are_one_trial_calls(F):
-    corrects = _haar_rows(3, 50, np.random.default_rng(140))
-    corrects[0] = basis_state(3, 0).amplitudes  # the skipped-candidate case
-    rows = _approximate_rows(corrects, F)
-    for correct, row in zip(corrects, rows):
-        one = approximate_output(StateVector(correct), F).amplitudes
-        assert np.abs(one - row).max() <= 1e-15
 
 
 def test_run_game_at_n8_stays_small():

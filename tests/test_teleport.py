@@ -441,6 +441,16 @@ def test_check_measurement_dimension_mismatch():
         check_measurement(np.ones((3, 4)) / 2, np.ones((2, 4)) / 2, rng)
 
 
+def test_check_measurement_refuses_nan_rows():
+    """A NaN amplitude makes its row's probability NaN, which u < p would
+    read as a failed check: refused before any draw."""
+    rng = np.random.default_rng(85)
+    outputs = np.array([basis_state(1, 0).amplitudes, [np.nan, 0.0]])
+    with pytest.raises(ValueError, match="not finite"):
+        check_measurement(outputs, outputs[::-1], rng)
+    assert rng.random() == np.random.default_rng(85).random()
+
+
 def test_check_measurement_frequency_matches_fidelity():
     """Empirical O rate converges to |<correct|output>|^2."""
     rng = np.random.default_rng(83)
