@@ -51,6 +51,29 @@ def _unitarity_error(mat: np.ndarray) -> float:
     return float(np.abs(mat @ mat.conj().T - np.eye(mat.shape[0])).max())
 
 
+def _check_rows(rows, width: int | None = None) -> None:
+    """Raise unless `rows` is a (B, 2^n) array, n >= 1 (2^n = `width` if given), of
+    rows normalized within NORM_TOL; NaN and inf fail, and einsum raises no FP warning."""
+    shape = np.shape(rows)
+    dim = shape[-1] if len(shape) == 2 else 0
+    if dim < 2 or dim & (dim - 1) or width not in (None, dim):
+        raise ValueError(f"need (rows, {width or '2**n'}) amplitudes, n >= 1; got {shape}")
+    re, im = np.real(rows), np.imag(rows)
+    norm_sq = np.einsum("ti,ti->t", re, re) + np.einsum("ti,ti->t", im, im)
+    bad = np.flatnonzero(~(np.abs(norm_sq - 1.0) <= NORM_TOL))
+    if bad.size:
+        raise ValueError(f"row {bad[0]} not normalized or not finite: "
+                         f"sum |a|^2 = {norm_sq[bad[0]]:.17g}")
+
+
+def _check_indices(name: str, index: np.ndarray, bound: int) -> None:
+    """Raise unless `index` is integer-typed (bool is not) with entries in [0, bound)."""
+    if index.dtype.kind not in "iu":  # bool is kind "b"
+        raise ValueError(f"{name} must be integers, got dtype {index.dtype}")
+    if index.size and not 0 <= index.min() <= index.max() < bound:
+        raise ValueError(f"{name} out of range [0, {bound})")
+
+
 # eq=False on array-holding dataclasses: generated field equality would try
 # to bool() an elementwise array comparison.  Compare states via fidelity().
 @dataclass(frozen=True, eq=False)
@@ -62,16 +85,10 @@ class StateVector:
 
     def __post_init__(self):
         amps = np.array(self.amplitudes, dtype=complex)
-        n = amps.size.bit_length() - 1
-        if amps.ndim != 1 or n < 1 or amps.size != 1 << n:
-            raise ValueError(f"need 2**n amplitudes, n >= 1; got shape {amps.shape}")
-        norm_sq = float(np.vdot(amps, amps).real)
-        # Negated so a NaN or inf amplitude, which makes norm_sq non-finite, fails.
-        if not abs(norm_sq - 1.0) <= NORM_TOL:
-            raise ValueError(f"state not normalized: sum |a|^2 = {norm_sq!r}")
+        _check_rows(amps[np.newaxis])  # a state is one row
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "num_qubits", n)
+        object.__setattr__(self, "num_qubits", amps.size.bit_length() - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,8 +127,7 @@ NAMED_GATES = {g.name: g for g in (H, X, Y, Z, S, T, CNOT)}
 def basis_state(num_qubits: int, index: int) -> StateVector:
     """Computational basis state |index> on num_qubits qubits."""
     dim = 1 << num_qubits
-    if not 0 <= index < dim:
-        raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
+    _check_indices("basis index", np.asarray(index), dim)
     amps = np.zeros(dim, dtype=complex)
     amps[index] = 1.0
     return StateVector(amps)
@@ -235,7 +251,7 @@ def measure_in_basis(state: StateVector, targets, basis, rng: np.random.Generato
 
 
 def project_out(state: StateVector, targets, vector):
-    """Project `targets` onto `vector` and drop them from the register.
+    """Project `targets` onto the normalized `vector` and drop them from the register.
 
     Returns (probability of the projection, renormalized state of the
     remaining qubits, which keep their relative order).
@@ -246,26 +262,24 @@ def project_out(state: StateVector, targets, vector):
     if k >= n:
         raise ValueError("projection must leave at least one qubit")
     vec = np.asarray(vector, dtype=complex)
-    if vec.shape != (1 << k,):
-        raise ValueError(f"expected projection vector of length {1 << k}, got {vec.shape}")
+    _check_rows(vec[np.newaxis], 1 << k)  # a state of the projected qubits
     reduced = vec.conj() @ _targets_to_front(state, targets)
     prob = float(np.vdot(reduced, reduced).real)
     _check_outcome_probability(prob)
     return prob, StateVector(reduced / np.sqrt(prob))
 
 
-def _check_outcome_probability(prob) -> None:
-    """Raise unless the outcome probability, or each of an array of them, is
-    at least _OUTCOME_PROB_MIN."""
-    # Negated so a NaN probability, for which every comparison is False, fails.
-    if not np.all(prob >= _OUTCOME_PROB_MIN):
-        raise ValueError("projection outcome has NaN or (near-)zero probability")
+def _check_outcome_probability(prob, low: float = _OUTCOME_PROB_MIN) -> None:
+    """Raise unless the outcome probability, or each of an array of them, lies in
+    [low, 1 + NORM_TOL]; the test is negated, so a NaN probability fails it."""
+    if not np.all((prob >= low) & (prob <= 1.0 + NORM_TOL)):
+        raise ValueError("measurement outcome has NaN, above-1 or (near-)zero probability")
 
 
 def _fidelities(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """|<a|b>|^2 capped at 1 along the last axis: one value for two vectors,
-    one per row for two (B, 2^n) arrays, the same arithmetic either way."""
-    return np.minimum(np.abs(np.einsum("...i,...i->...", a.conj(), b)) ** 2, 1.0)
+    """|<a|b>|^2 along the last axis, unclipped, so a row that is not normalized
+    shows: one value for two vectors, one per row for two (B, 2^n) arrays."""
+    return np.abs(np.einsum("...i,...i->...", a.conj(), b)) ** 2
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

@@ -14,7 +14,8 @@ from typing import Callable
 import numpy as np
 
 from .circuit import Circuit
-from .statevec import NORM_TOL, _GS_RESIDUAL_MIN, _check_outcome_probability, _haar_rows
+from .statevec import (
+    _GS_RESIDUAL_MIN, _check_indices, _check_outcome_probability, _check_rows, _haar_rows)
 from .teleport import OfflineResource, _chunk_rows, check_measurement, prepare_offline
 
 # Game trials per chunk: about 512 KiB of working set at 160 B per amplitude
@@ -146,12 +147,8 @@ def classical_basis_strategy(circuit: Circuit, actual: np.ndarray, guess: np.nda
     if actual.ndim != 1 or actual.shape != guess.shape:
         raise ValueError(f"need two equal 1-D index arrays, got shapes "
                          f"{actual.shape} and {guess.shape}")
-    dim = 1 << circuit.num_qubits
-    for name, index in (("input", actual), ("guess", guess)):
-        if index.dtype.kind not in "iu":  # bool is kind "b"
-            raise ValueError(f"{name} indices must be integers, got dtype {index.dtype}")
-        if index.size and not 0 <= index.min() <= index.max() < dim:
-            raise ValueError(f"{name} index out of range [0, {dim})")
+    _check_indices("input indices", actual, 1 << circuit.num_qubits)
+    _check_indices("guess indices", guess, 1 << circuit.num_qubits)
     hit = actual == guess
     return hit, circuit.unitary.T[guess[hit]]  # U e_g is column g of U
 
@@ -166,7 +163,7 @@ def rsp_strategy(resource: OfflineResource, near: np.ndarray, rng: np.random.Gen
     is the probability that the projection fires, 2^-n for a known input on a
     circuit resource, and one rng.random(B), u < probability, decides.
     Returns (fired mask, normalized far blocks of the fired rows).  Raises,
-    before drawing, on a non-finite row or a (near-)zero probability.
+    before drawing, on a non-finite row or a probability outside [1e-12, 1 + NORM_TOL].
     """
     if np.ndim(near) != 2 or np.shape(near)[1] != 1 << resource.n:
         raise ValueError(f"near rows have shape {np.shape(near)}, resource expects "
@@ -191,15 +188,10 @@ def approximate_output(corrects: np.ndarray, fidelity_F: float) -> np.ndarray:
     """
     if not 0.0 <= fidelity_F <= 1.0:
         raise ValueError(f"fidelity must be in [0, 1], got {fidelity_F}")
-    if np.ndim(corrects) != 2 or np.shape(corrects)[1] < 2:
-        raise ValueError(f"need (rows, 2**n) rows, n >= 1; got shape {np.shape(corrects)}")
-    norms = np.linalg.norm(corrects, axis=1, keepdims=True)
-    # Negated so a NaN or inf entry, which makes its row's norm non-finite, fails.
-    if not np.all(np.abs(norms - 1.0) <= NORM_TOL):
-        raise ValueError("rows must be normalized states with finite entries")
+    _check_rows(corrects)
     if fidelity_F == 1.0:
         return corrects
-    c = corrects / norms
+    c = corrects / np.linalg.norm(corrects, axis=1, keepdims=True)
     # |c_j|^2 <= 1 - _GS_RESIDUAL_MIN holds for some j whenever dim >= 2
     j = np.argmax(1.0 - np.abs(c) ** 2 > _GS_RESIDUAL_MIN, axis=1)
     picked = np.arange(len(c))

@@ -25,11 +25,13 @@ import numpy as np
 
 from .circuit import Circuit
 from .statevec import (
-    NORM_TOL,
     X,
     Z,
     GateMatrix,
     StateVector,
+    _check_indices,
+    _check_outcome_probability,
+    _check_rows,
     _check_size,
     _draw_rows,
     _fidelities,
@@ -82,10 +84,7 @@ class OfflineResource:
             raise ValueError(f"need a 2**n x 2**n matrix, n >= 1; got shape {shape}")
         _check_size(2 * n)
         mat = np.array(self.matrix, dtype=complex)
-        norm_sq = float(np.vdot(mat, mat).real)
-        # Negated so a NaN or inf entry, which makes norm_sq non-finite, fails.
-        if not abs(norm_sq - 1.0) <= NORM_TOL:
-            raise ValueError(f"resource not normalized: sum |R|^2 = {norm_sq!r}")
+        _check_rows(mat.reshape(1, -1))  # R's entries are a 2n-qubit state
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
@@ -232,8 +231,7 @@ def force_outcome(resource: OfflineResource, input_state: StateVector, code: int
     can cover all 4^n outcomes without rejection sampling.
     """
     n = resource.n
-    if not 0 <= code < 4**n:
-        raise ValueError(f"code {code} out of range for {n} pairs")
+    _check_indices("outcome code", np.asarray(code), 4**n)
     resource._check_input(input_state)
     joint = tensor_product(input_state, resource.joint_state)
     prob, far = project_out(joint, range(2 * n), _pair_outcome_vector(n, code))
@@ -276,15 +274,12 @@ def run_with_corrections(codes: np.ndarray, outputs: np.ndarray, circuit: Circui
     rows; each repaired row costs EXTRA_EXECUTIONS_PER_REPAIR circuit runs.
     """
     n = circuit.num_qubits
+    _check_rows(outputs, 1 << n)
     codes = np.asarray(codes)
-    if outputs.ndim != 2 or outputs.shape[1] != 1 << n:
-        raise ValueError(
-            f"outputs must be (rows, {1 << n}) for {n} qubits, got {outputs.shape}")
     if codes.shape != (len(outputs),):
         raise ValueError(f"row counts differ: {codes.shape} codes, "
                          f"{len(outputs)} output rows")
-    if codes.size and not 0 <= codes.min() <= codes.max() < 4**n:
-        raise ValueError(f"outcome codes must lie in [0, {4**n}) for {n} pairs")
+    _check_indices("outcome codes", codes, 4**n)
     xmask = np.zeros_like(codes)
     zmask = np.zeros_like(codes)
     for i in range(n):
@@ -445,12 +440,11 @@ def check_measurement(outputs: np.ndarray, corrects: np.ndarray,
     Only "first element or not" matters, and that is Bernoulli(|<correct|output>|²),
     so each row is one draw, u < p, from one rng.random(B) (for B = 1 the
     same value as rng.random()).  Returns (is_O, probability_O), one entry per row.
-    Raises, before drawing, on a non-finite probability.
+    Raises, before drawing, on a probability that is NaN or above 1 + NORM_TOL.
     """
-    if outputs.shape != corrects.shape:
-        raise ValueError(f"qubit counts or row counts differ: shapes "
-                         f"{outputs.shape} vs {corrects.shape}")
+    if outputs.ndim != 2 or outputs.shape != corrects.shape:
+        raise ValueError(f"need two (rows, 2**n) arrays, equal in qubit counts and "
+                         f"row counts; got shapes {outputs.shape} and {corrects.shape}")
     prob = _fidelities(outputs, corrects)  # row t is fidelity(output_t, correct_t)
-    if not np.isfinite(prob).all():
-        raise ValueError("check probability is not finite: the rows hold NaN or inf")
+    _check_outcome_probability(prob, low=0.0)
     return rng.random(len(prob)) < prob, prob

@@ -9,6 +9,7 @@ from instaqc.statevec import (
     H,
     MAX_QUBITS,
     NAMED_GATES,
+    NORM_TOL,
     S,
     T,
     X,
@@ -295,11 +296,15 @@ def test_project_out_zero_probability_raises():
 
 
 def test_outcome_probability_check_refuses_nan():
-    _check_outcome_probability(np.array([1.0, _OUTCOME_PROB_MIN]))
-    with pytest.raises(ValueError, match="NaN"):
-        _check_outcome_probability(np.array([0.5, np.nan]))
-    with pytest.raises(ValueError, match="NaN"):
-        _check_outcome_probability(np.nan)
+    """[_OUTCOME_PROB_MIN, 1 + NORM_TOL] passes, or [low, 1 + NORM_TOL] for a
+    given low; NaN and any value above the bound are refused."""
+    _check_outcome_probability(np.array([1.0 + NORM_TOL, _OUTCOME_PROB_MIN]))
+    _check_outcome_probability(np.array([0.0, 1.0]), low=0.0)
+    for bad in (np.array([0.5, np.nan]), np.nan, np.array([0.5, 1.0 + 2 * NORM_TOL]), np.inf):
+        with pytest.raises(ValueError, match="NaN, above-1"):
+            _check_outcome_probability(bad)
+        with pytest.raises(ValueError, match="NaN, above-1"):
+            _check_outcome_probability(bad, low=0.0)
 
 
 def test_project_out_must_leave_a_qubit():

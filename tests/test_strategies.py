@@ -147,15 +147,6 @@ def test_classical_basis_mismatch_declines():
     assert outputs.shape == (0, 4)
 
 
-def test_classical_basis_index_validation():
-    with pytest.raises(ValueError, match="input index"):
-        classical_basis_strategy(Circuit(1), np.array([2]), np.array([0]))
-    with pytest.raises(ValueError, match="guess index"):
-        classical_basis_strategy(Circuit(1), np.array([0]), np.array([2]))
-    with pytest.raises(ValueError, match="input index"):
-        classical_basis_strategy(Circuit(1), np.array([0, -1]), np.array([0, 0]))
-
-
 @pytest.mark.parametrize("actual, guess, match", [
     (np.array([1.5]), np.array([0]), "integers"),
     (np.array([0]), np.array([0.0]), "integers"),

@@ -6,6 +6,7 @@ constant, so a convention change anywhere upstream fails loudly here.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import assert_within_3sigma, rate_within_3sigma, traced_peak
 from instaqc.circuit import Circuit, apply_circuit, random_circuit
@@ -348,23 +349,19 @@ def test_corrections_on_trivial_outcome_are_identity():
     assert fidelity(StateVector(fixed[0]), result.output_state) > 1 - 1e-9
 
 
-def test_corrections_outcome_length_mismatch():
-    """A width that is not 2^n, a row-count mismatch and a code >= 4^n are
-    each rejected."""
-    rng = np.random.default_rng(73)
-    res = prepare_offline(Circuit(1))
-    result = run_instantaneous(res, basis_state(1, 0), rng)
-    row = result.output_state.amplitudes[None]
-    with pytest.raises(ValueError, match="qubits"):
-        run_with_corrections(np.array([result.code]), row, Circuit(2))
-    with pytest.raises(ValueError, match="qubits"):
-        run_with_corrections(np.array([0]), row[0], Circuit(1))
-    with pytest.raises(ValueError, match="row counts"):
-        run_with_corrections(np.array([0, 1]), row, Circuit(1))
-    with pytest.raises(ValueError, match="codes must lie"):
-        run_with_corrections(np.array([4]), row, Circuit(1))
-    with pytest.raises(ValueError, match="codes must lie"):
-        run_with_corrections(np.array([-1]), row, Circuit(1))
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3), depth=st.integers(0, 6), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_repair_of_any_forced_outcome_has_fidelity_1(n, depth, seed, data):
+    """The repair of any outcome code's output is U psi to 1e-9 on both
+    sides: fidelities are not clipped, so an overshoot would show."""
+    code = data.draw(st.integers(0, 4**n - 1), label="code")
+    rng = np.random.default_rng(seed)
+    circ = random_circuit(n, depth, rng)
+    psi = sample_haar_state(n, rng)
+    _, result = force_outcome(prepare_offline(circ), psi, code)
+    fixed = run_with_corrections(np.array([code]), result.output_state.amplitudes[None], circ)
+    assert abs(fidelity(StateVector(fixed[0]), apply_circuit(circ, psi)) - 1.0) <= 1e-9
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -439,16 +436,6 @@ def test_check_measurement_dimension_mismatch():
                           basis_state(2, 0).amplitudes[None], rng)
     with pytest.raises(ValueError, match="row counts"):
         check_measurement(np.ones((3, 4)) / 2, np.ones((2, 4)) / 2, rng)
-
-
-def test_check_measurement_refuses_nan_rows():
-    """A NaN amplitude makes its row's probability NaN, which u < p would
-    read as a failed check: refused before any draw."""
-    rng = np.random.default_rng(85)
-    outputs = np.array([basis_state(1, 0).amplitudes, [np.nan, 0.0]])
-    with pytest.raises(ValueError, match="not finite"):
-        check_measurement(outputs, outputs[::-1], rng)
-    assert rng.random() == np.random.default_rng(85).random()
 
 
 def test_check_measurement_frequency_matches_fidelity():
